@@ -7,7 +7,6 @@ is plain CSV with 17-significant-digit floats so it parses back losslessly.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 from pathlib import Path
@@ -16,8 +15,6 @@ import numpy as np
 
 from . import imgvol, losses, matching, phantoms, quality, resample
 from .similarity import HistogramSpec, RbfParams, SimilarityKind
-
-log = logging.getLogger("patchpair")
 
 
 def _fmt(v: float) -> str:
@@ -36,12 +33,6 @@ def _existing_dir(parser: argparse.ArgumentParser, path: str) -> Path:
     if not p.is_dir():
         parser.error(f"directory not found: {path}")
     return p
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed for any randomized stage")
-    sub.add_argument("--threads", type=_positive_int, default=1, help="worker threads for matching")
-    sub.add_argument("--verbose", action="store_true", help="chatty logging")
 
 
 def cmd_demo(parser, args) -> int:
@@ -113,15 +104,15 @@ def _match_config(args) -> matching.MatchConfig:
 
 
 def cmd_match(parser, args) -> int:
+    try:
+        cfg = _match_config(args)
+    except ValueError as e:
+        parser.error(str(e))
     lr_dir = _existing_dir(parser, args.lr)
     hr_dir = _existing_dir(parser, args.hr)
     lr_set = imgvol.load_dataset(lr_dir, "LR")
     hr_set = imgvol.load_dataset(hr_dir, "HR")
-    cfg = _match_config(args)
-    if cfg.levels is matching.MatchLevels.PATCH_ONLY:
-        manifest = matching.match_exhaustive(lr_set, hr_set, cfg, workers=args.threads)
-    else:
-        manifest = matching.match_hierarchical(lr_set, hr_set, cfg, workers=args.threads)
+    manifest = matching.match_hierarchical(lr_set, hr_set, cfg)
     if args.filter:
         manifest = matching.filter_threshold(manifest, cfg.threshold)
     matching.write_manifest(manifest, args.out)
@@ -210,14 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", type=float, default=0.25)
     p.add_argument("--sigma", type=float, default=3.0)
     p.add_argument("--factor", type=_positive_int, default=4)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="phantom generator seed")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("preprocess", help="resize, rotation-correct, recenter, normalize")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--target", type=_positive_int, default=256)
-    _add_common(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("degrade", help="apply the blur/downsample/upsample degradation")
@@ -225,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--sigma", type=float, default=3.0)
     p.add_argument("--factor", type=_positive_int, default=4)
-    _add_common(p)
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("match", help="match LR patches against HR patches")
@@ -244,14 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--threshold", type=float, default=0.4)
     p.add_argument("--filter", action="store_true", help="drop records at or below the threshold")
-    _add_common(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("stats", help="weight histogram and summary of a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--csv", required=True, help="histogram CSV output path")
     p.add_argument("--bins", type=_positive_int, default=20)
-    _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM/RMSE between two volume directories")
@@ -259,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", required=True)
     p.add_argument("--ssim-mode", choices=["global", "windowed"], default="global")
     p.add_argument("--window", type=_positive_int, default=8)
-    _add_common(p)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("loss-eval", help="evaluate the objective on a stored batch")
@@ -268,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, default=1.0)
     p.add_argument("--lambda3", type=float, default=256.0)
     p.add_argument("--adv", choices=[k.value for k in losses.AdvKind], default="least-squares")
-    _add_common(p)
     p.set_defaults(func=cmd_loss_eval)
 
     return parser
@@ -280,7 +265,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(parser, args)
     except SystemExit as e:  # parser.error from inside a command

@@ -3,8 +3,8 @@
 Matching proceeds patient -> slice -> patch, each level an argmax of the
 configured similarity metric; the patient and/or slice levels can be dropped,
 down to the exhaustive search over every candidate patch. All ties break
-lexicographically by (patient_id, slice, row, col) so repeated runs produce
-byte-identical manifests regardless of worker count.
+lexicographically by (patient_id, slice, row, col), so identical inputs give
+byte-identical manifests.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import dataclasses
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -96,23 +94,12 @@ class MatchRecord:
             raise ValueError(f"weight {self.weight} outside [0, 1]")
 
 
-@dataclass(eq=False)
+@dataclass
 class Manifest:
     records: list
     config: MatchConfig
     lr_fingerprint: str
     hr_fingerprint: str
-    created: str = field(default="", compare=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Manifest):
-            return NotImplemented
-        return (
-            self.records == other.records
-            and self.config == other.config
-            and self.lr_fingerprint == other.lr_fingerprint
-            and self.hr_fingerprint == other.hr_fingerprint
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +114,15 @@ class MatchStats:
         return float(((self.weights >= lo) & (self.weights <= hi)).mean())
 
 
+def _by_id(ds: Dataset):
+    return sorted(ds.volumes, key=lambda v: v.patient_id)
+
+
 def dataset_fingerprint(ds: Dataset) -> str:
     """Content hash over label, patient ids, dimensions and raw pixel bytes."""
     h = hashlib.sha256()
     h.update(ds.label.encode())
-    for v in sorted(ds.volumes, key=lambda v: v.patient_id):
+    for v in _by_id(ds):
         h.update(v.patient_id.encode())
         h.update(np.int64(v.data.shape).tobytes())
         h.update(v.data.astype("<f4").tobytes())
@@ -150,12 +141,26 @@ def patch_grid(h: int, w: int, size: int, stride: int):
     return [(r, c) for r in rows for c in cols]
 
 
-def _score(metric: SimilarityKind, x: np.ndarray, y: np.ndarray, cfg: MatchConfig) -> float:
+def _score(x: np.ndarray, y: np.ndarray, cfg: MatchConfig) -> float:
     try:
-        return float(similarity(metric, x, y, hist=cfg.hist, rbf_params=cfg.rbf))
+        return float(similarity(cfg.metric, x, y, hist=cfg.hist, rbf_params=cfg.rbf))
     except ZeroVarianceError:
         # degenerate PCC candidates rank below every valid correlation
         return -1.0
+
+
+def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
+    """(key, score) of the candidate image most similar to the query.
+
+    Candidates are (key, image) pairs in lexicographic key order; keeping the
+    first strict maximum sends every tie to the smallest key.
+    """
+    best_key, best = None, -np.inf
+    for key, image in candidates:
+        s = _score(query, image, cfg)
+        if s > best:
+            best_key, best = key, s
+    return best_key, best
 
 
 def _mean_image(vol: Volume) -> np.ndarray:
@@ -167,31 +172,15 @@ def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
     the LR volume's mean image; ties go to the smallest patient_id."""
     if not hr_set.volumes:
         raise ValueError("empty HR set")
-    lr_mean = _mean_image(lr_vol)
-    best_pid = None
-    best = -np.inf
-    for v in sorted(hr_set.volumes, key=lambda v: v.patient_id):
-        s = _score(cfg.metric, lr_mean, _mean_image(v), cfg)
-        if s > best:
-            best, best_pid = s, v.patient_id
-    return best_pid
-
-
-def _best_slice(lr_slice: np.ndarray, hr_vol: Volume, cfg: MatchConfig):
-    best_idx = None
-    best = -np.inf
-    for idx in range(hr_vol.n_slices):
-        s = _score(cfg.metric, lr_slice, hr_vol.data[idx], cfg)
-        if s > best:
-            best, best_idx = s, idx
-    return best, best_idx
+    candidates = ((v.patient_id, _mean_image(v)) for v in _by_id(hr_set))
+    return _argmax(_mean_image(lr_vol), candidates, cfg)[0]
 
 
 def match_slice(lr_slice: np.ndarray, hr_vol: Volume, cfg: MatchConfig) -> int:
     """Index of the most similar slice in the HR volume; ties go to the smallest index."""
     if hr_vol.n_slices < 1:
         raise ValueError("empty HR volume")
-    return _best_slice(lr_slice, hr_vol, cfg)[1]
+    return _argmax(lr_slice, enumerate(hr_vol.data), cfg)[0]
 
 
 def match_patch(
@@ -210,14 +199,9 @@ def match_patch(
     if lr_patch.shape[0] != lr_patch.shape[1]:
         raise ValueError("query patch must be square")
     h, w = hr_slice.shape
-    best = -np.inf
-    best_pos = None
-    for r, c in patch_grid(h, w, size, cfg.stride):
-        s = _score(cfg.metric, lr_patch, hr_slice[r : r + size, c : c + size], cfg)
-        if s > best:
-            best, best_pos = s, (r, c)
-    ref = PatchRef(patient_id, slice_index, best_pos[0], best_pos[1], size)
-    return ref, to_weight(cfg.metric, best)
+    windows = (((r, c), hr_slice[r : r + size, c : c + size]) for r, c in patch_grid(h, w, size, cfg.stride))
+    (r, c), best = _argmax(lr_patch, windows, cfg)
+    return PatchRef(patient_id, slice_index, r, c, size), to_weight(cfg.metric, best)
 
 
 def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
@@ -232,112 +216,62 @@ def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
     return h, w
 
 
-def _run_tasks(tasks, fn, workers: int):
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks))
-
-
-def _finish(records, cfg, lr_set, hr_set) -> Manifest:
-    records.sort(key=lambda r: r.lr.sort_key())
-    seen = set()
-    unique = []
-    for r in records:
-        if r.lr not in seen:
-            seen.add(r.lr)
-            unique.append(r)
+def _manifest(records, cfg, lr_set, hr_set) -> Manifest:
     return Manifest(
-        records=unique,
+        records=records,
         config=cfg,
         lr_fingerprint=dataset_fingerprint(lr_set),
         hr_fingerprint=dataset_fingerprint(hr_set),
-        created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 
 
-def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig, *, workers: int = 1) -> Manifest:
+def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Run the matching workflow at the configured levels and collect all
     pre-threshold records, sorted by LR patch reference."""
-    h, w = _validate_sets(lr_set, hr_set, cfg)
     if cfg.levels is MatchLevels.PATCH_ONLY:
-        return match_exhaustive(lr_set, hr_set, cfg, workers=workers)
-    grid = patch_grid(h, w, cfg.patch_size, cfg.stride)
+        return match_exhaustive(lr_set, hr_set, cfg)
+    h, w = _validate_sets(lr_set, hr_set, cfg)
+    size = cfg.patch_size
+    grid = patch_grid(h, w, size, cfg.stride)
+    hr_slices = [((v.patient_id, i), img) for v in _by_id(hr_set) for i, img in enumerate(v.data)]
 
-    tasks = []
-    for lr_vol in sorted(lr_set.volumes, key=lambda v: v.patient_id):
-        hr_vol = None
+    records = []
+    for lr_vol in _by_id(lr_set):
         if cfg.levels is MatchLevels.HIERARCHICAL:
             hr_vol = hr_set.volume(match_patient(lr_vol, hr_set, cfg))
-        for s_idx in range(lr_vol.n_slices):
-            lr_slice = lr_vol.data[s_idx]
+        for s_idx, lr_slice in enumerate(lr_vol.data):
             if cfg.levels is MatchLevels.HIERARCHICAL:
-                h_idx = match_slice(lr_slice, hr_vol, cfg)
-                target_vol, target_idx = hr_vol, h_idx
+                h_pid, h_idx = hr_vol.patient_id, match_slice(lr_slice, hr_vol, cfg)
             else:  # SLICE_AND_PATCH: best slice across every HR patient
-                best = -np.inf
-                target_vol, target_idx = None, None
-                for v in sorted(hr_set.volumes, key=lambda v: v.patient_id):
-                    s, idx = _best_slice(lr_slice, v, cfg)
-                    if s > best:
-                        best, target_vol, target_idx = s, v, idx
-            tasks.append((lr_vol.patient_id, s_idx, lr_slice, target_vol.patient_id, target_idx, target_vol.data[target_idx]))
-
-    def run(task):
-        l_pid, s_idx, lr_slice, h_pid, h_idx, hr_slice = task
-        out = []
-        for r, c in grid:
-            patch = lr_slice[r : r + cfg.patch_size, c : c + cfg.patch_size]
-            ref, weight = match_patch(patch, hr_slice, cfg, patient_id=h_pid, slice_index=h_idx)
-            out.append(MatchRecord(PatchRef(l_pid, s_idx, r, c, cfg.patch_size), ref, weight))
-        return out
-
-    records = [rec for chunk in _run_tasks(tasks, run, workers) for rec in chunk]
-    return _finish(records, cfg, lr_set, hr_set)
+                (h_pid, h_idx), _ = _argmax(lr_slice, hr_slices, cfg)
+            hr_slice = hr_set.volume(h_pid).data[h_idx]
+            for r, c in grid:
+                patch = lr_slice[r : r + size, c : c + size]
+                ref, weight = match_patch(patch, hr_slice, cfg, patient_id=h_pid, slice_index=h_idx)
+                records.append(MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, size), ref, weight))
+    return _manifest(records, cfg, lr_set, hr_set)
 
 
-def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig, *, workers: int = 1) -> Manifest:
+def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Argmax over every HR patient, slice and grid position for each LR patch."""
     h, w = _validate_sets(lr_set, hr_set, cfg)
-    grid = patch_grid(h, w, cfg.patch_size, cfg.stride)
-    hr_vols = sorted(hr_set.volumes, key=lambda v: v.patient_id)
+    size = cfg.patch_size
+    grid = patch_grid(h, w, size, cfg.stride)
+    hr_windows = [
+        (PatchRef(v.patient_id, i, r, c, size), img[r : r + size, c : c + size])
+        for v in _by_id(hr_set)
+        for i, img in enumerate(v.data)
+        for r, c in grid
+    ]
 
-    tasks = []
-    for lr_vol in sorted(lr_set.volumes, key=lambda v: v.patient_id):
-        for s_idx in range(lr_vol.n_slices):
-            tasks.append((lr_vol.patient_id, s_idx, lr_vol.data[s_idx]))
-
-    def run(task):
-        l_pid, s_idx, lr_slice = task
-        out = []
-        for r, c in grid:
-            patch = lr_slice[r : r + cfg.patch_size, c : c + cfg.patch_size]
-            best = -np.inf
-            best_ref = None
-            for hv in hr_vols:
-                for h_idx in range(hv.n_slices):
-                    hr_slice = hv.data[h_idx]
-                    for hr_r, hr_c in grid:
-                        s = _score(
-                            cfg.metric,
-                            patch,
-                            hr_slice[hr_r : hr_r + cfg.patch_size, hr_c : hr_c + cfg.patch_size],
-                            cfg,
-                        )
-                        if s > best:
-                            best = s
-                            best_ref = PatchRef(hv.patient_id, h_idx, hr_r, hr_c, cfg.patch_size)
-            out.append(
-                MatchRecord(
-                    PatchRef(l_pid, s_idx, r, c, cfg.patch_size),
-                    best_ref,
-                    to_weight(cfg.metric, best),
-                )
-            )
-        return out
-
-    records = [rec for chunk in _run_tasks(tasks, run, workers) for rec in chunk]
-    return _finish(records, cfg, lr_set, hr_set)
+    records = []
+    for lr_vol in _by_id(lr_set):
+        for s_idx, lr_slice in enumerate(lr_vol.data):
+            for r, c in grid:
+                ref, best = _argmax(lr_slice[r : r + size, c : c + size], hr_windows, cfg)
+                lr_ref = PatchRef(lr_vol.patient_id, s_idx, r, c, size)
+                records.append(MatchRecord(lr_ref, ref, to_weight(cfg.metric, best)))
+    return _manifest(records, cfg, lr_set, hr_set)
 
 
 def filter_threshold(m: Manifest, tau: float) -> Manifest:
@@ -349,7 +283,6 @@ def filter_threshold(m: Manifest, tau: float) -> Manifest:
         config=dataclasses.replace(m.config, threshold=tau),
         lr_fingerprint=m.lr_fingerprint,
         hr_fingerprint=m.hr_fingerprint,
-        created=m.created,
     )
 
 
@@ -389,8 +322,6 @@ def manifest_to_bytes(m: Manifest) -> bytes:
     """Line-delimited serialization: one header line, then one record per line.
 
     Weights carry 17 significant digits so every float64 round-trips bit-exactly.
-    The creation timestamp is deliberately not serialized: identical inputs must
-    produce byte-identical manifests.
     """
     header = {
         "format": MANIFEST_FORMAT,

@@ -78,14 +78,15 @@ def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
     return 20.0 * math.log10(p / e)
 
 
-def _ssim_one(x: np.ndarray, y: np.ndarray, c1: float, c2: float) -> float:
-    mx = float(x.mean())
-    my = float(y.mean())
-    dx = x - mx
-    dy = y - my
-    vx = float((dx * dx).mean())
-    vy = float((dy * dy).mean())
-    cov = float((dx * dy).mean())
+def _ssim_one(x: np.ndarray, y: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """SSIM of each tile in a (..., n) stack of flattened tiles."""
+    mx = x.mean(axis=-1)
+    my = y.mean(axis=-1)
+    dx = x - mx[..., None]
+    dy = y - my[..., None]
+    vx = (dx * dx).mean(axis=-1)
+    vy = (dy * dy).mean(axis=-1)
+    cov = (dx * dy).mean(axis=-1)
     num = (2.0 * mx * my + c1) * (2.0 * cov + c2)
     den = (mx * mx + my * my + c1) * (vx + vy + c2)
     return num / den
@@ -100,17 +101,17 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams = SsimParams()) -> flo
     x, y = _pair(x, y)
     c1, c2 = params.c1, params.c2
     if params.mode is SsimMode.GLOBAL:
-        return _ssim_one(x, y, c1, c2)
+        return float(_ssim_one(x.ravel(), y.ravel(), c1, c2))
     h, w = x.shape
     k = params.window
     if h < k or w < k:
         raise ValueError(f"image {h}x{w} smaller than ssim window {k}")
-    vals = [
-        _ssim_one(x[r : r + k, c : c + k], y[r : r + k, c : c + k], c1, c2)
-        for r in range(0, h - k + 1, k)
-        for c in range(0, w - k + 1, k)
-    ]
-    return float(np.mean(vals))
+
+    def tiles(img):
+        img = img[: h - h % k, : w - w % k]
+        return img.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)
+
+    return float(_ssim_one(tiles(x), tiles(y), c1, c2).mean())
 
 
 def evaluate_pair(reference: np.ndarray, estimate: np.ndarray, params: SsimParams = SsimParams()) -> QualityReport:

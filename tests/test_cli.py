@@ -133,13 +133,28 @@ class TestMatch:
         assert code == 2
         assert "usage" in err
 
-    def test_thread_count_does_not_change_bytes(self, demo_tree, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, message", [
+        (("--threshold", "1.5"), "threshold must be in [0, 1]"),
+        (("--bins", "1"), "bins must be >= 2"),
+        (("--gamma", "-1"), "gamma must be positive"),
+        (("--patch-size", "16", "--stride", "32"), "need 0 < stride <= patch_size"),
+    ])
+    def test_invalid_config_usage_error(self, demo_tree, tmp_path, capsys, flags, message):
+        code, _, err = run(
+            capsys, "match", "--lr", str(demo_tree / "lr"), "--hr", str(demo_tree / "hr"),
+            "--out", str(tmp_path / "m.jsonl"), *flags,
+        )
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "m.jsonl").exists()
+
+    def test_repeat_runs_byte_identical(self, demo_tree, tmp_path, capsys):
         args = [
             "match", "--lr", str(demo_tree / "lr"), "--hr", str(demo_tree / "hr"),
             "--patch-size", "32", "--stride", "16", "--bins", "32",
         ]
-        assert run(capsys, *args, "--out", str(tmp_path / "a.jsonl"), "--threads", "1")[0] == 0
-        assert run(capsys, *args, "--out", str(tmp_path / "b.jsonl"), "--threads", "8")[0] == 0
+        assert run(capsys, *args, "--out", str(tmp_path / "a.jsonl"))[0] == 0
+        assert run(capsys, *args, "--out", str(tmp_path / "b.jsonl"))[0] == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
