@@ -13,8 +13,7 @@ from patchpair import (
     HistogramSpec,
     MatchConfig,
     PhantomSpec,
-    Volume,
-    degrade,
+    degrade_volume,
     evaluate_pair,
     filter_threshold,
     generate_similar_pair,
@@ -47,14 +46,7 @@ def main():
     )
     hr, lr = generate_similar_pair(spec, args.perturbation)
     if not args.no_degrade:
-        params = DegradeParams()
-        lr = type(lr)(
-            "LR",
-            tuple(
-                Volume(v.patient_id, np.stack([degrade(s, params) for s in v.data]))
-                for v in lr.volumes
-            ),
-        )
+        lr = type(lr)("LR", tuple(degrade_volume(v, DegradeParams()) for v in lr.volumes))
 
     cfg = MatchConfig(
         patch_size=args.patch_size,

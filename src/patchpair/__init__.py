@@ -53,6 +53,7 @@ from .resample import (
     DegradeParams,
     bicubic_resize,
     degrade,
+    degrade_volume,
     gaussian_blur,
     gaussian_kernel,
     preprocess,

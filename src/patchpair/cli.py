@@ -35,22 +35,24 @@ def _existing_dir(parser: argparse.ArgumentParser, path: str) -> Path:
     return p
 
 
+def _usage(parser: argparse.ArgumentParser, build, *args, **kwargs):
+    """Return ``build(*args, **kwargs)``; a ValueError it raises is a usage error (exit 2)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        parser.error(str(e))
+
+
 def cmd_demo(parser, args) -> int:
-    spec = phantoms.PhantomSpec(
-        seed=args.seed,
-        patients=args.patients,
-        slices_per_patient=args.slices,
-        size=args.size,
-    )
+    spec = _usage(parser, phantoms.PhantomSpec, seed=args.seed, patients=args.patients,
+                  slices_per_patient=args.slices, size=args.size)
+    params = _usage(parser, resample.DegradeParams, sigma=args.sigma, scale_factor=args.factor)
     if args.size % args.factor != 0:
         parser.error(f"--size {args.size} not divisible by --factor {args.factor}")
-    hr, lr = phantoms.generate_similar_pair(spec, args.perturbation)
-    params = resample.DegradeParams(sigma=args.sigma, scale_factor=args.factor)
+    # generate_similar_pair checks the perturbation before it renders any phantom
+    hr, lr = _usage(parser, phantoms.generate_similar_pair, spec, args.perturbation)
     hr_vols = [resample.preprocess(v, args.size) for v in hr.volumes]
-    lr_vols = []
-    for v in lr.volumes:
-        pre = resample.preprocess(v, args.size)
-        lr_vols.append(imgvol.Volume(v.patient_id, np.stack([resample.degrade(s, params) for s in pre.data])))
+    lr_vols = [resample.degrade_volume(resample.preprocess(v, args.size), params) for v in lr.volumes]
     out = Path(args.out)
     imgvol.save_dataset(imgvol.Dataset("HR", tuple(hr_vols)), out / "hr")
     imgvol.save_dataset(imgvol.Dataset("LR", tuple(lr_vols)), out / "lr")
@@ -59,29 +61,19 @@ def cmd_demo(parser, args) -> int:
 
 
 def cmd_preprocess(parser, args) -> int:
-    src = _existing_dir(parser, args.input)
-    ds = imgvol.load_dataset(src, "HR")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    for v in ds.volumes:
-        imgvol.save_volume(resample.preprocess(v, args.target), out / f"{v.patient_id}.vol")
-    print(f"preprocessed {len(ds.volumes)} volumes to {args.target}x{args.target}")
+    ds = imgvol.load_dataset(_existing_dir(parser, args.input), "HR")
+    vols = tuple(resample.preprocess(v, args.target) for v in ds.volumes)
+    imgvol.save_dataset(imgvol.Dataset("HR", vols), args.output)
+    print(f"preprocessed {len(vols)} volumes to {args.target}x{args.target}")
     return 0
 
 
 def cmd_degrade(parser, args) -> int:
-    src = _existing_dir(parser, args.input)
-    ds = imgvol.load_dataset(src, "HR")
-    params = resample.DegradeParams(sigma=args.sigma, scale_factor=args.factor)
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    for v in ds.volumes:
-        try:
-            data = np.stack([resample.degrade(s, params) for s in v.data])
-        except ValueError as e:
-            raise ValueError(f"volume {v.patient_id}: {e}") from e
-        imgvol.save_volume(imgvol.Volume(v.patient_id, data), out / f"{v.patient_id}.vol")
-    print(f"degraded {len(ds.volumes)} volumes (sigma={_fmt(args.sigma)}, factor={args.factor})")
+    params = _usage(parser, resample.DegradeParams, sigma=args.sigma, scale_factor=args.factor)
+    ds = imgvol.load_dataset(_existing_dir(parser, args.input), "HR")
+    vols = tuple(resample.degrade_volume(v, params) for v in ds.volumes)
+    imgvol.save_dataset(imgvol.Dataset("LR", vols), args.output)
+    print(f"degraded {len(vols)} volumes (sigma={_fmt(args.sigma)}, factor={args.factor})")
     return 0
 
 
@@ -104,10 +96,7 @@ def _match_config(args) -> matching.MatchConfig:
 
 
 def cmd_match(parser, args) -> int:
-    try:
-        cfg = _match_config(args)
-    except ValueError as e:
-        parser.error(str(e))
+    cfg = _usage(parser, _match_config, args)
     lr_dir = _existing_dir(parser, args.lr)
     hr_dir = _existing_dir(parser, args.hr)
     lr_set = imgvol.load_dataset(lr_dir, "LR")
@@ -134,6 +123,7 @@ def cmd_stats(parser, args) -> int:
 
 
 def cmd_metrics(parser, args) -> int:
+    params = _usage(parser, quality.SsimParams, mode=quality.SsimMode(args.ssim_mode), window=args.window)
     ref_dir = _existing_dir(parser, args.reference)
     est_dir = _existing_dir(parser, args.estimate)
     ref = imgvol.load_dataset(ref_dir, "HR")
@@ -142,12 +132,7 @@ def cmd_metrics(parser, args) -> int:
     est_ids = [v.patient_id for v in est.volumes]
     if ref_ids != est_ids:
         raise ValueError(f"volume sets differ: {ref_ids} vs {est_ids}")
-    params = quality.SsimParams(
-        mode=quality.SsimMode(args.ssim_mode),
-        window=args.window,
-    )
-    print("volume,slice,psnr,ssim,rmse")
-    psnrs, ssims, rmses = [], [], []
+    rows = []  # every slice is evaluated before anything is printed
     for rv in ref.volumes:
         ev = est.volume(rv.patient_id)
         if rv.data.shape != ev.data.shape:
@@ -156,21 +141,20 @@ def cmd_metrics(parser, args) -> int:
             )
         for k in range(rv.n_slices):
             try:
-                report = quality.evaluate_pair(rv.data[k], ev.data[k], params)
+                rows.append((rv.patient_id, k, quality.evaluate_pair(rv.data[k], ev.data[k], params)))
             except ValueError as e:
                 raise ValueError(f"volume {rv.patient_id} slice {k}: {e}") from e
-            print(f"{rv.patient_id},{k},{_fmt(report.psnr)},{_fmt(report.ssim)},{_fmt(report.rmse)}")
-            psnrs.append(report.psnr)
-            ssims.append(report.ssim)
-            rmses.append(report.rmse)
-    print(f"aggregate,mean,{_fmt(float(np.mean(psnrs)))},{_fmt(float(np.mean(ssims)))},{_fmt(float(np.mean(rmses)))}")
+    print("volume,slice,psnr,ssim,rmse")
+    for pid, k, r in rows:
+        print(f"{pid},{k},{_fmt(r.psnr)},{_fmt(r.ssim)},{_fmt(r.rmse)}")
+    means = [float(np.mean([getattr(r, m) for _, _, r in rows])) for m in ("psnr", "ssim", "rmse")]
+    print("aggregate,mean," + ",".join(_fmt(m) for m in means))
     return 0
 
 
 def cmd_loss_eval(parser, args) -> int:
-    batch_dir = _existing_dir(parser, args.batch)
-    batch = losses.read_loss_batch(batch_dir)
-    lw = losses.LossWeights(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
+    lw = _usage(parser, losses.LossWeights, lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3)
+    batch = losses.read_loss_batch(_existing_dir(parser, args.batch))
     kind = losses.AdvKind(args.adv)
     breakdown = losses.total_loss(batch, lw, kind)
     print(

@@ -26,6 +26,15 @@ def require_image(img: np.ndarray) -> np.ndarray:
     return arr
 
 
+def require_pair(x: np.ndarray, y: np.ndarray):
+    """Validate two images with ``require_image`` and check that their shapes agree."""
+    x = require_image(x)
+    y = require_image(y)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return x, y
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """Ordered slices of one patient, stored as a read-only (S, H, W) float32 array."""
@@ -53,9 +62,6 @@ class Volume:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-    def slice(self, index: int) -> np.ndarray:
-        return self.data[index]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Volume):

@@ -178,8 +178,6 @@ def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
 
 def match_slice(lr_slice: np.ndarray, hr_vol: Volume, cfg: MatchConfig) -> int:
     """Index of the most similar slice in the HR volume; ties go to the smallest index."""
-    if hr_vol.n_slices < 1:
-        raise ValueError("empty HR volume")
     return _argmax(lr_slice, enumerate(hr_vol.data), cfg)[0]
 
 
@@ -204,16 +202,13 @@ def match_patch(
     return PatchRef(patient_id, slice_index, r, c, size), to_weight(cfg.metric, best)
 
 
-def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
+def _validate_sets(lr_set: Dataset, hr_set: Dataset):
     if not lr_set.volumes or not hr_set.volumes:
         raise ValueError("both datasets must be non-empty")
     dims = {(v.height, v.width) for v in lr_set.volumes} | {(v.height, v.width) for v in hr_set.volumes}
     if len(dims) != 1:
         raise ValueError(f"datasets must have uniform dimensions, got {sorted(dims)}")
-    (h, w) = next(iter(dims))
-    if cfg.patch_size > h or cfg.patch_size > w:
-        raise ValueError(f"patch size {cfg.patch_size} exceeds image dims {h}x{w}")
-    return h, w
+    return next(iter(dims))
 
 
 def _manifest(records, cfg, lr_set, hr_set) -> Manifest:
@@ -230,7 +225,7 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
     pre-threshold records, sorted by LR patch reference."""
     if cfg.levels is MatchLevels.PATCH_ONLY:
         return match_exhaustive(lr_set, hr_set, cfg)
-    h, w = _validate_sets(lr_set, hr_set, cfg)
+    h, w = _validate_sets(lr_set, hr_set)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
     hr_slices = [((v.patient_id, i), img) for v in _by_id(hr_set) for i, img in enumerate(v.data)]
@@ -254,7 +249,7 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
 
 def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Argmax over every HR patient, slice and grid position for each LR patch."""
-    h, w = _validate_sets(lr_set, hr_set, cfg)
+    h, w = _validate_sets(lr_set, hr_set)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
     hr_windows = [
@@ -276,11 +271,10 @@ def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Mani
 
 def filter_threshold(m: Manifest, tau: float) -> Manifest:
     """Keep records with weight strictly greater than tau; order preserved."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must be in [0, 1]")
+    config = dataclasses.replace(m.config, threshold=tau)  # MatchConfig rejects tau outside [0, 1]
     return Manifest(
         records=[r for r in m.records if r.weight > tau],
-        config=dataclasses.replace(m.config, threshold=tau),
+        config=config,
         lr_fingerprint=m.lr_fingerprint,
         hr_fingerprint=m.hr_fingerprint,
     )

@@ -16,6 +16,10 @@ from .imgvol import Dataset, Volume
 
 _BASE_STREAM = 1
 _JITTER_STREAM = 2
+_MIN_BLOBS = 2
+_MAX_BLOBS = 5
+_RADIUS_RANGE = (0.06, 0.18)  # blob semi-axes, fraction of image size
+_INTENSITY_RANGE = (0.35, 0.9)
 
 
 @dataclass(frozen=True)
@@ -24,24 +28,12 @@ class PhantomSpec:
     patients: int = 2
     slices_per_patient: int = 4
     size: int = 64
-    min_blobs: int = 2
-    max_blobs: int = 5
-    radius_range: tuple = (0.06, 0.18)  # blob semi-axes, fraction of image size
-    intensity_range: tuple = (0.35, 0.9)
 
     def __post_init__(self):
         if self.patients < 1 or self.slices_per_patient < 1:
             raise ValueError("patients and slices_per_patient must be >= 1")
         if self.size < 32:
             raise ValueError("size must be >= 32")
-        if not (1 <= self.min_blobs <= self.max_blobs):
-            raise ValueError("need 1 <= min_blobs <= max_blobs")
-        lo, hi = self.radius_range
-        if not (0 < lo <= hi):
-            raise ValueError("bad radius_range")
-        lo, hi = self.intensity_range
-        if not (0 < lo <= hi <= 1):
-            raise ValueError("bad intensity_range")
 
 
 @dataclass
@@ -54,7 +46,7 @@ class _PatientParams:
 def _sample_patient_params(spec: PhantomSpec, idx: int) -> _PatientParams:
     rng = np.random.default_rng([spec.seed, _BASE_STREAM, idx])
     size = float(spec.size)
-    n = int(rng.integers(spec.min_blobs, spec.max_blobs + 1))
+    n = int(rng.integers(_MIN_BLOBS, _MAX_BLOBS + 1))
     ring = np.array(
         [
             size * rng.uniform(0.38, 0.46),
@@ -68,9 +60,9 @@ def _sample_patient_params(spec: PhantomSpec, idx: int) -> _PatientParams:
         kf = np.empty((n, 5))
         kf[:, 0] = centre + size * rng.uniform(-0.22, 0.22, size=n)
         kf[:, 1] = centre + size * rng.uniform(-0.22, 0.22, size=n)
-        kf[:, 2] = size * rng.uniform(*spec.radius_range, size=n)
-        kf[:, 3] = size * rng.uniform(*spec.radius_range, size=n)
-        kf[:, 4] = rng.uniform(*spec.intensity_range, size=n)
+        kf[:, 2] = size * rng.uniform(*_RADIUS_RANGE, size=n)
+        kf[:, 3] = size * rng.uniform(*_RADIUS_RANGE, size=n)
+        kf[:, 4] = rng.uniform(*_INTENSITY_RANGE, size=n)
         keyframes.append(kf)
     return _PatientParams(ring, keyframes[0], keyframes[1])
 

@@ -13,7 +13,10 @@ from enum import Enum
 
 import numpy as np
 
-from .imgvol import require_image
+from .imgvol import require_pair
+
+# SSIM constants K1, K2 and dynamic range L: C1 = (K1 * L)**2, C2 = (K2 * L)**2
+_K1, _K2, _DYNAMIC_RANGE = 0.01, 0.03, 1.0
 
 
 class SsimMode(Enum):
@@ -23,25 +26,20 @@ class SsimMode(Enum):
 
 @dataclass(frozen=True)
 class SsimParams:
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
     mode: SsimMode = SsimMode.GLOBAL
     window: int = 8
 
     def __post_init__(self):
-        if not (self.k1 > 0 and self.k2 > 0 and self.dynamic_range > 0):
-            raise ValueError("k1, k2 and dynamic_range must be positive")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
     @property
     def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
+        return (_K1 * _DYNAMIC_RANGE) ** 2
 
     @property
     def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+        return (_K2 * _DYNAMIC_RANGE) ** 2
 
 
 @dataclass(frozen=True)
@@ -52,11 +50,8 @@ class QualityReport:
 
 
 def _pair(y, x):
-    y = require_image(y).astype(np.float64)
-    x = require_image(x).astype(np.float64)
-    if y.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {y.shape} vs {x.shape}")
-    return y, x
+    y, x = require_pair(y, x)
+    return y.astype(np.float64), x.astype(np.float64)
 
 
 def rmse(y: np.ndarray, x: np.ndarray) -> float:

@@ -108,6 +108,14 @@ def degrade(img: np.ndarray, params: DegradeParams = DegradeParams()) -> np.ndar
     return np.clip(out, 0.0, 1.0)
 
 
+def degrade_volume(v: Volume, params: DegradeParams) -> Volume:
+    """Degrade every slice of a volume; errors name the volume."""
+    try:
+        return Volume(v.patient_id, np.stack([degrade(s, params) for s in v.data]))
+    except ValueError as e:
+        raise ValueError(f"volume {v.patient_id}: {e}") from e
+
+
 def _bicubic_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample arbitrary (row, col) points with the Keys kernel; points more than
     half a pixel outside the grid read as 0."""
@@ -197,8 +205,6 @@ def rotation_correct(img: np.ndarray) -> np.ndarray:
 def preprocess(v: Volume, target: int) -> Volume:
     """Per slice: resize to target x target, rotation-correct, recenter; then
     min-max normalize the whole volume to [0, 1]."""
-    if target < 1:
-        raise ValueError("target size must be >= 1")
     slices = []
     for k in range(v.n_slices):
         s = bicubic_resize(v.data[k], target, target)

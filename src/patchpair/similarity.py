@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .imgvol import require_image
+from .imgvol import require_pair
 
 
 class ZeroVarianceError(ValueError):
@@ -49,8 +49,9 @@ class RbfParams:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        # rbf divides by 2 * gamma * gamma, which underflows to 0 for tiny gamma
+        if self.gamma is not None and not (self.gamma > 0 and 2.0 * self.gamma * self.gamma > 0):
+            raise ValueError(f"gamma must be positive with 2 * gamma**2 > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +64,6 @@ class JointHistogram:
             raise ValueError("joint histogram counts do not sum to total")
 
 
-def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-
-
 def _bin_indices(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     lo, hi = spec.value_range
     scaled = (np.asarray(img, dtype=np.float64) - lo) * (spec.bins / (hi - lo))
@@ -78,9 +74,7 @@ def _bin_indices(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
 
 def joint_histogram(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> JointHistogram:
     """Count co-occurring bin pairs over all pixels of two same-sized images."""
-    x = require_image(x)
-    y = require_image(y)
-    _check_same_shape(x, y)
+    x, y = require_pair(x, y)
     bx = _bin_indices(x, spec)
     by = _bin_indices(y, spec)
     flat = bx.ravel() * spec.bins + by.ravel()
@@ -134,9 +128,7 @@ def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> 
 
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
-    x = require_image(x)
-    y = require_image(y)
-    _check_same_shape(x, y)
+    x, y = require_pair(x, y)
     xf = x.astype(np.float64).ravel()
     yf = y.astype(np.float64).ravel()
     dx = xf - xf.mean()
@@ -151,9 +143,7 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
 
 def rbf(x: np.ndarray, y: np.ndarray, params: RbfParams = RbfParams()) -> float:
     """Gaussian radial-basis similarity exp(-||x - y||^2 / (2 gamma^2)) in (0, 1]."""
-    x = require_image(x)
-    y = require_image(y)
-    _check_same_shape(x, y)
+    x, y = require_pair(x, y)
     d = x.astype(np.float64) - y.astype(np.float64)
     d2 = float((d * d).sum())
     gamma = params.gamma if params.gamma is not None else math.sqrt(x.size) / 2.0

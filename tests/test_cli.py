@@ -138,6 +138,7 @@ class TestMatch:
         (("--bins", "1"), "bins must be >= 2"),
         (("--gamma", "-1"), "gamma must be positive"),
         (("--patch-size", "16", "--stride", "32"), "need 0 < stride <= patch_size"),
+        (("--gamma", "1e-300"), "2 * gamma**2 > 0"),
     ])
     def test_invalid_config_usage_error(self, demo_tree, tmp_path, capsys, flags, message):
         code, _, err = run(
@@ -234,6 +235,29 @@ class TestMetrics:
                            "--estimate", str(tmp_path / "est"))
         assert code == 1
         assert "P000" in err
+
+    def test_failure_prints_nothing_on_stdout(self, demo_tree, capsys):
+        code, out, err = run(capsys, "metrics", "--reference", str(demo_tree / "hr"),
+                             "--estimate", str(demo_tree / "lr"), "--ssim-mode", "windowed",
+                             "--window", "100")
+        assert code == 1
+        assert out == ""
+        assert "volume P000 slice 0" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("demo", "--out", "{out}", "--sigma", "-1"), "sigma must be positive"),
+    (("demo", "--out", "{out}", "--perturbation", "-5"), "perturbation must be in [0, 1]"),
+    (("demo", "--out", "{out}", "--size", "16"), "size must be >= 32"),
+    (("degrade", "--input", "{hr}", "--output", "{out}", "--sigma", "0"), "sigma must be positive"),
+    (("loss-eval", "--batch", "{hr}", "--lambda1", "-1"), "loss weights must be nonnegative"),
+])
+def test_config_error_is_usage_error(demo_tree, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *(a.format(out=out, hr=demo_tree / "hr") for a in argv))
+    assert code == 2
+    assert f"patchpair: error: {message}" in err
+    assert not out.exists()
 
 
 class TestLossEval:

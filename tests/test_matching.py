@@ -291,6 +291,11 @@ class TestFilterThreshold:
         counts = [len(filter_threshold(m, t).records) for t in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_tau_is_match_config_error(self, tau):
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            filter_threshold(fabricated_manifest([0.5]), tau)
+
 
 class TestWeightStats:
     def test_all_ones_top_bin(self):

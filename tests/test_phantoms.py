@@ -53,8 +53,6 @@ class TestGenerateDataset:
             PhantomSpec(patients=0)
         with pytest.raises(ValueError):
             PhantomSpec(size=16)
-        with pytest.raises(ValueError):
-            PhantomSpec(min_blobs=5, max_blobs=2)
 
 
 class TestSimilarPair:
