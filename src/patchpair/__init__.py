@@ -62,7 +62,6 @@ from .resample import (
 )
 from .similarity import (
     HistogramSpec,
-    JointHistogram,
     RbfParams,
     SimilarityKind,
     ZeroVarianceError,

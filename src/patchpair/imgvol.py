@@ -2,7 +2,7 @@
 
 A 2D image is a plain ``(H, W)`` float ndarray. Volumes stack slices into a
 ``(S, H, W)`` float32 array, the canonical on-disk precision. All containers
-are immutable after construction and safe to share between workers.
+are immutable after construction.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ discriminator outputs are one scalar per item.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,8 +41,8 @@ class LossWeights:
     lambda3: float = 256.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in (self.lambda1, self.lambda2, self.lambda3)):
+            raise ValueError("loss weights must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)

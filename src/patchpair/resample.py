@@ -31,16 +31,16 @@ class DegradeParams:
     scale_factor: int = 4
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         if self.scale_factor < 1:
             raise ValueError("scale_factor must be >= 1")
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1D Gaussian taps over [-ceil(3*sigma), ceil(3*sigma)]."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     r = math.ceil(3.0 * sigma)
     i = np.arange(-r, r + 1, dtype=np.float64)
     taps = np.exp(-(i * i) / (2.0 * sigma * sigma))

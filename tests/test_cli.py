@@ -139,6 +139,7 @@ class TestMatch:
         (("--gamma", "-1"), "gamma must be positive"),
         (("--patch-size", "16", "--stride", "32"), "need 0 < stride <= patch_size"),
         (("--gamma", "1e-300"), "2 * gamma**2 > 0"),
+        (("--metric", "rbf", "--gamma", "inf"), "gamma must be positive and finite"),
     ])
     def test_invalid_config_usage_error(self, demo_tree, tmp_path, capsys, flags, message):
         code, _, err = run(
@@ -251,6 +252,10 @@ class TestMetrics:
     (("demo", "--out", "{out}", "--size", "16"), "size must be >= 32"),
     (("degrade", "--input", "{hr}", "--output", "{out}", "--sigma", "0"), "sigma must be positive"),
     (("loss-eval", "--batch", "{hr}", "--lambda1", "-1"), "loss weights must be nonnegative"),
+    (("degrade", "--input", "{hr}", "--output", "{out}", "--sigma", "inf"), "sigma must be positive and finite"),
+    (("demo", "--out", "{out}", "--sigma", "inf"), "sigma must be positive and finite"),
+    (("loss-eval", "--batch", "{hr}", "--lambda1", "nan"), "loss weights must be nonnegative and finite"),
+    (("loss-eval", "--batch", "{hr}", "--lambda3", "inf"), "loss weights must be nonnegative and finite"),
 ])
 def test_config_error_is_usage_error(demo_tree, tmp_path, capsys, argv, message):
     out = tmp_path / "out"
