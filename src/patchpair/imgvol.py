@@ -75,7 +75,8 @@ class Volume:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One domain's worth of volumes (label "LR" or "HR"), unique patient ids."""
+    """One domain's worth of volumes (label "LR" or "HR"), unique patient ids,
+    stored in patient-id order."""
 
     label: str
     volumes: tuple
@@ -83,7 +84,7 @@ class Dataset:
     def __post_init__(self):
         if self.label not in VALID_LABELS:
             raise ValueError(f"dataset label must be one of {VALID_LABELS}, got {self.label!r}")
-        vols = tuple(self.volumes)
+        vols = tuple(sorted(self.volumes, key=lambda v: v.patient_id))
         ids = [v.patient_id for v in vols]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate patient ids in dataset")
@@ -114,9 +115,6 @@ class PatchRef:
     def __post_init__(self):
         if self.slice_index < 0 or self.row < 0 or self.col < 0 or self.size < 1:
             raise ValueError(f"invalid patch reference {self}")
-
-    def sort_key(self):
-        return (self.patient_id, self.slice_index, self.row, self.col)
 
 
 def extract_patch(img: np.ndarray, ref: PatchRef) -> np.ndarray:

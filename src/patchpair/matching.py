@@ -114,15 +114,11 @@ class MatchStats:
         return float(((self.weights >= lo) & (self.weights <= hi)).mean())
 
 
-def _by_id(ds: Dataset):
-    return sorted(ds.volumes, key=lambda v: v.patient_id)
-
-
 def dataset_fingerprint(ds: Dataset) -> str:
     """Content hash over label, patient ids, dimensions and raw pixel bytes."""
     h = hashlib.sha256()
     h.update(ds.label.encode())
-    for v in _by_id(ds):
+    for v in ds.volumes:
         h.update(v.patient_id.encode())
         h.update(np.int64(v.data.shape).tobytes())
         h.update(v.data.astype("<f4").tobytes())
@@ -141,12 +137,9 @@ def patch_grid(h: int, w: int, size: int, stride: int):
     return [(r, c) for r in rows for c in cols]
 
 
-def _score(x: np.ndarray, y: np.ndarray, cfg: MatchConfig) -> float:
-    try:
-        return float(similarity(cfg.metric, x, y, hist=cfg.hist, rbf_params=cfg.rbf))
-    except ZeroVarianceError:
-        # degenerate PCC candidates rank below every valid correlation
-        return -1.0
+def _windows(img: np.ndarray, grid, size: int):
+    """((row, col), view) of the size x size window of img at each grid position."""
+    return [((r, c), img[r : r + size, c : c + size]) for r, c in grid]
 
 
 def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
@@ -157,7 +150,10 @@ def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
     """
     best_key, best = None, -np.inf
     for key, image in candidates:
-        s = _score(query, image, cfg)
+        try:
+            s = float(similarity(cfg.metric, query, image, hist=cfg.hist, rbf_params=cfg.rbf))
+        except ZeroVarianceError:
+            s = -1.0  # degenerate PCC candidates rank below every valid correlation
         if s > best:
             best_key, best = key, s
     return best_key, best
@@ -172,7 +168,7 @@ def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
     the LR volume's mean image; ties go to the smallest patient_id."""
     if not hr_set.volumes:
         raise ValueError("empty HR set")
-    candidates = ((v.patient_id, _mean_image(v)) for v in _by_id(hr_set))
+    candidates = ((v.patient_id, _mean_image(v)) for v in hr_set.volumes)
     return _argmax(_mean_image(lr_vol), candidates, cfg)[0]
 
 
@@ -197,8 +193,7 @@ def match_patch(
     if lr_patch.shape[0] != lr_patch.shape[1]:
         raise ValueError("query patch must be square")
     h, w = hr_slice.shape
-    windows = (((r, c), hr_slice[r : r + size, c : c + size]) for r, c in patch_grid(h, w, size, cfg.stride))
-    (r, c), best = _argmax(lr_patch, windows, cfg)
+    (r, c), best = _argmax(lr_patch, _windows(hr_slice, patch_grid(h, w, size, cfg.stride), size), cfg)
     return PatchRef(patient_id, slice_index, r, c, size), to_weight(cfg.metric, best)
 
 
@@ -228,10 +223,10 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
     h, w = _validate_sets(lr_set, hr_set)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
-    hr_slices = [((v.patient_id, i), img) for v in _by_id(hr_set) for i, img in enumerate(v.data)]
+    hr_slices = [((v.patient_id, i), img) for v in hr_set.volumes for i, img in enumerate(v.data)]
 
     records = []
-    for lr_vol in _by_id(lr_set):
+    for lr_vol in lr_set.volumes:
         if cfg.levels is MatchLevels.HIERARCHICAL:
             hr_vol = hr_set.volume(match_patient(lr_vol, hr_set, cfg))
         for s_idx, lr_slice in enumerate(lr_vol.data):
@@ -240,8 +235,7 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
             else:  # SLICE_AND_PATCH: best slice across every HR patient
                 (h_pid, h_idx), _ = _argmax(lr_slice, hr_slices, cfg)
             hr_slice = hr_set.volume(h_pid).data[h_idx]
-            for r, c in grid:
-                patch = lr_slice[r : r + size, c : c + size]
+            for (r, c), patch in _windows(lr_slice, grid, size):
                 ref, weight = match_patch(patch, hr_slice, cfg, patient_id=h_pid, slice_index=h_idx)
                 records.append(MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, size), ref, weight))
     return _manifest(records, cfg, lr_set, hr_set)
@@ -253,17 +247,17 @@ def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Mani
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
     hr_windows = [
-        (PatchRef(v.patient_id, i, r, c, size), img[r : r + size, c : c + size])
-        for v in _by_id(hr_set)
+        (PatchRef(v.patient_id, i, r, c, size), window)
+        for v in hr_set.volumes
         for i, img in enumerate(v.data)
-        for r, c in grid
+        for (r, c), window in _windows(img, grid, size)
     ]
 
     records = []
-    for lr_vol in _by_id(lr_set):
+    for lr_vol in lr_set.volumes:
         for s_idx, lr_slice in enumerate(lr_vol.data):
-            for r, c in grid:
-                ref, best = _argmax(lr_slice[r : r + size, c : c + size], hr_windows, cfg)
+            for (r, c), patch in _windows(lr_slice, grid, size):
+                ref, best = _argmax(patch, hr_windows, cfg)
                 lr_ref = PatchRef(lr_vol.patient_id, s_idx, r, c, size)
                 records.append(MatchRecord(lr_ref, ref, to_weight(cfg.metric, best)))
     return _manifest(records, cfg, lr_set, hr_set)
@@ -271,12 +265,10 @@ def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Mani
 
 def filter_threshold(m: Manifest, tau: float) -> Manifest:
     """Keep records with weight strictly greater than tau; order preserved."""
-    config = dataclasses.replace(m.config, threshold=tau)  # MatchConfig rejects tau outside [0, 1]
-    return Manifest(
+    return dataclasses.replace(
+        m,
+        config=dataclasses.replace(m.config, threshold=tau),  # MatchConfig rejects tau outside [0, 1]
         records=[r for r in m.records if r.weight > tau],
-        config=config,
-        lr_fingerprint=m.lr_fingerprint,
-        hr_fingerprint=m.hr_fingerprint,
     )
 
 
@@ -292,24 +284,17 @@ def weight_stats(m: Manifest, bins: int = 20) -> MatchStats:
     return MatchStats(bin_edges=edges, counts=counts, mean=float(w.mean()), weights=w)
 
 
+# PatchRef field -> manifest key, in PatchRef field order
+_REF_KEYS = {"patient_id": "patient", "slice_index": "slice", "row": "row", "col": "col", "size": "size"}
+
+
 def _ref_to_json(ref: PatchRef) -> str:
-    return '{"patient": %s, "slice": %d, "row": %d, "col": %d, "size": %d}' % (
-        json.dumps(ref.patient_id),
-        ref.slice_index,
-        ref.row,
-        ref.col,
-        ref.size,
-    )
+    return json.dumps({key: getattr(ref, field) for field, key in _REF_KEYS.items()})
 
 
 def _ref_from_obj(obj: dict) -> PatchRef:
-    return PatchRef(
-        patient_id=obj["patient"],
-        slice_index=int(obj["slice"]),
-        row=int(obj["row"]),
-        col=int(obj["col"]),
-        size=int(obj["size"]),
-    )
+    patient, *ints = (obj[key] for key in _REF_KEYS.values())
+    return PatchRef(patient, *map(int, ints))
 
 
 def manifest_to_bytes(m: Manifest) -> bytes:

@@ -20,6 +20,7 @@ _MIN_BLOBS = 2
 _MAX_BLOBS = 5
 _RADIUS_RANGE = (0.06, 0.18)  # blob semi-axes, fraction of image size
 _INTENSITY_RANGE = (0.35, 0.9)
+_PATIENT_ID = "P{:03d}".format
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _render_volume(spec: PhantomSpec, params: _PatientParams, patient_id: str) -
 def generate_dataset(spec: PhantomSpec, label: str = "HR") -> Dataset:
     """Render one phantom dataset, deterministic in spec.seed."""
     vols = [
-        _render_volume(spec, _sample_patient_params(spec, p), f"P{p:03d}")
+        _render_volume(spec, _sample_patient_params(spec, p), _PATIENT_ID(p))
         for p in range(spec.patients)
     ]
     return Dataset(label, tuple(vols))
@@ -126,11 +127,9 @@ def generate_similar_pair(spec: PhantomSpec, perturbation: float):
     """
     if not 0.0 <= perturbation <= 1.0:
         raise ValueError("perturbation must be in [0, 1]")
-    base_vols = []
-    jit_vols = []
-    for p in range(spec.patients):
-        pid = f"P{p:03d}"
-        params = _sample_patient_params(spec, p)
-        base_vols.append(_render_volume(spec, params, pid))
-        jit_vols.append(_render_volume(spec, _jitter_params(params, perturbation, spec, p), pid))
-    return Dataset("HR", tuple(base_vols)), Dataset("LR", tuple(jit_vols))
+    base = generate_dataset(spec)
+    jittered = (
+        _render_volume(spec, _jitter_params(_sample_patient_params(spec, p), perturbation, spec, p), _PATIENT_ID(p))
+        for p in range(spec.patients)
+    )
+    return base, Dataset("LR", tuple(jittered))

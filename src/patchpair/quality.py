@@ -55,10 +55,12 @@ def _pair(y, x):
 
 
 def rmse(y: np.ndarray, x: np.ndarray) -> float:
-    """Root mean square error sqrt(mean((y - x)^2))."""
+    """Root mean square error sqrt(mean((y - x)^2)), 0 only for identical images."""
     y, x = _pair(y, x)
     d = y - x
-    return math.sqrt(float((d * d).mean()))
+    # scaled by m = max|y - x| so that squares of tiny differences cannot underflow to 0
+    m = float(np.abs(d).max())
+    return m * math.sqrt(float(((d / m) ** 2).mean())) if m > 0 else 0.0
 
 
 def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:

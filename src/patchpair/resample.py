@@ -63,23 +63,26 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return _correlate_axis(_correlate_axis(arr, taps, 0), taps, 1)
 
 
-def _keys(s: np.ndarray) -> np.ndarray:
-    s = np.abs(s)
+def _taps(src: np.ndarray, n: int):
+    """Clamped indices (m, 4) and Keys weights (m, 4) of the four taps around each
+    source coordinate, at distances 1 + t, t, 1 - t and 2 - t with t = src - floor(src).
+
+    The inner taps take the near polynomial and the outer taps the far one; the
+    far polynomial is exactly 0 at distances 1 and 2, so t = 0 and t = 1 need no case.
+    """
+    base = np.floor(src)
+    t = src - base
     a = _KEYS_A
-    near = ((a + 2.0) * s - (a + 3.0)) * s * s + 1.0
-    far = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
-    return np.where(s <= 1.0, near, np.where(s < 2.0, far, 0.0))
+    near = [((a + 2.0) * s - (a + 3.0)) * s * s + 1.0 for s in (t, 1.0 - t)]
+    far = [((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a for s in (1.0 + t, 2.0 - t)]
+    idx = np.clip(base.astype(np.int64)[:, None] + np.arange(-1, 3), 0, n - 1)
+    return idx, np.stack([far[0], near[0], near[1], far[1]], axis=-1)
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     in_len = arr.shape[axis]
-    dst = np.arange(out_len, dtype=np.float64)
-    src = (dst + 0.5) * (in_len / out_len) - 0.5
-    base = np.floor(src)
-    t = src - base
-    m = base.astype(np.int64)
-    w = np.stack([_keys(1.0 + t), _keys(t), _keys(1.0 - t), _keys(2.0 - t)], axis=-1)
-    idx = np.clip(np.stack([m - 1, m, m + 1, m + 2], axis=-1), 0, in_len - 1)
+    src = (np.arange(out_len, dtype=np.float64) + 0.5) * (in_len / out_len) - 0.5
+    idx, w = _taps(src, in_len)
     g = np.take(arr, idx, axis=axis)
     if axis == 0:
         return np.einsum("okw,ok->ow", g, w)
@@ -120,14 +123,8 @@ def _bicubic_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     """Sample arbitrary (row, col) points with the Keys kernel; points more than
     half a pixel outside the grid read as 0."""
     h, w = img.shape
-    mr = np.floor(rows)
-    tr = rows - mr
-    mc = np.floor(cols)
-    tc = cols - mc
-    wr = np.stack([_keys(1.0 + tr), _keys(tr), _keys(1.0 - tr), _keys(2.0 - tr)], axis=-1)
-    wc = np.stack([_keys(1.0 + tc), _keys(tc), _keys(1.0 - tc), _keys(2.0 - tc)], axis=-1)
-    ri = np.clip(mr.astype(np.int64)[:, None] + np.arange(-1, 3), 0, h - 1)
-    ci = np.clip(mc.astype(np.int64)[:, None] + np.arange(-1, 3), 0, w - 1)
+    ri, wr = _taps(rows, h)
+    ci, wc = _taps(cols, w)
     g = img[ri[:, :, None], ci[:, None, :]]
     vals = np.einsum("nab,na,nb->n", g, wr, wc)
     outside = (rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)
@@ -166,7 +163,7 @@ def recenter(img: np.ndarray) -> np.ndarray:
 
 def _principal_angle(arr: np.ndarray):
     """Angle of the principal intensity axis measured from the vertical (row) axis,
-    plus the mass-normalized second central moments."""
+    the mass-normalized second central moments and the centroid."""
     total = float(arr.sum())
     ci, cj = _centroid(arr)
     di = np.arange(arr.shape[0], dtype=np.float64) - ci
@@ -175,7 +172,7 @@ def _principal_angle(arr: np.ndarray):
     mu_cc = float((arr * (dj * dj)[None, :]).sum()) / total
     mu_rc = float((arr * di[:, None] * dj[None, :]).sum()) / total
     theta = 0.5 * math.atan2(2.0 * mu_rc, mu_rr - mu_cc)
-    return theta, mu_rr, mu_cc, mu_rc
+    return theta, mu_rr, mu_cc, mu_rc, ci, cj
 
 
 def rotation_correct(img: np.ndarray) -> np.ndarray:
@@ -185,14 +182,13 @@ def rotation_correct(img: np.ndarray) -> np.ndarray:
     if float(arr.max()) == float(arr.min()):
         warnings.warn("constant image: rotation correction skipped", DegenerateImageWarning)
         return arr.copy()
-    theta, mu_rr, mu_cc, mu_rc = _principal_angle(arr)
+    theta, mu_rr, mu_cc, mu_rc, ci, cj = _principal_angle(arr)
     if abs(mu_rr - mu_cc) < 1e-9 and abs(mu_rc) < 1e-9:
         warnings.warn("nearly isotropic image: rotation correction skipped", DegenerateImageWarning)
         return arr.copy()
     if theta == 0.0:
         return arr.copy()
     h, w = arr.shape
-    ci, cj = _centroid(arr)
     ii, jj = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     di = ii.ravel() - ci
     dj = jj.ravel() - cj

@@ -39,8 +39,8 @@ class HistogramSpec:
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
         lo, hi = self.value_range
-        if not hi > lo:
-            raise ValueError("degenerate histogram range")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"degenerate histogram range: need finite lo < hi, got {self.value_range!r}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Golden suite9 manifests: the refs must stay identical and the weights within 1e-15.
+"""Golden outputs: suite9 manifests and resampled phantom slices.
 
 ``tests/golden/suite9.json`` holds ``[hr_patient, hr_slice, hr_row, hr_col, weight]``
 per record, in LR order, for the hierarchical and slice-patch levels on the
-acceptance suite's data. Regenerate it (only from a commit whose manifests are
-the reference) with::
+acceptance suite's data; the refs must stay identical and the weights within
+1e-15. ``tests/golden/resample.json`` holds, per seeded 64-px phantom slice and
+per resampling output, ``[sum, sum of squares, ramp-weighted sum, min, max]``;
+each must stay within 1e-12 (relative above 1). Regenerate both (only from a
+commit whose outputs are the reference) with::
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -13,11 +16,30 @@ from pathlib import Path
 
 import pytest
 
-from patchpair import HistogramSpec, MatchConfig, MatchLevels, PhantomSpec, generate_similar_pair, match_hierarchical
+import numpy as np
+
+from patchpair import (
+    HistogramSpec,
+    MatchConfig,
+    MatchLevels,
+    PhantomSpec,
+    bicubic_resize,
+    generate_dataset,
+    generate_similar_pair,
+    match_hierarchical,
+    rotation_correct,
+)
 
 GOLDEN = Path(__file__).with_name("golden") / "suite9.json"
+GOLDEN_RESAMPLE = GOLDEN.with_name("resample.json")
 LEVELS = (MatchLevels.HIERARCHICAL, MatchLevels.SLICE_AND_PATCH)
 WEIGHT_TOL = 1e-15
+RESAMPLE_TOL = 1e-12
+RESAMPLINGS = {
+    "resize48": lambda s: bicubic_resize(s, 48, 48),
+    "resize80": lambda s: bicubic_resize(s, 80, 80),
+    "rotation": rotation_correct,
+}
 
 
 def _records(levels):
@@ -39,7 +61,27 @@ def test_suite9_manifest_matches_golden(levels):
     assert worst <= WEIGHT_TOL, f"max |dweight| = {worst!r}"
 
 
+def _summary(img):
+    h, w = img.shape
+    ramp = np.arange(h * w, dtype=np.float64).reshape(h, w) / (h * w)
+    return [float(img.sum()), float((img * img).sum()), float((img * ramp).sum()), float(img.min()), float(img.max())]
+
+
+def _resampled(name):
+    ds = generate_dataset(PhantomSpec(seed=917, patients=2, slices_per_patient=3, size=64))
+    return [_summary(RESAMPLINGS[name](s)) for v in ds.volumes for s in v.data]
+
+
+@pytest.mark.parametrize("name", RESAMPLINGS)
+def test_resampling_matches_golden(name):
+    want = np.array(json.loads(GOLDEN_RESAMPLE.read_text())[name])
+    got = np.array(_resampled(name))
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= RESAMPLE_TOL * np.maximum(1.0, np.abs(want))).all(), np.abs(got - want).max()
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     # json writes each float with repr, so the weights round-trip exactly
     GOLDEN.write_text(json.dumps({lv.value: _records(lv) for lv in LEVELS}) + "\n")
+    GOLDEN_RESAMPLE.write_text(json.dumps({name: _resampled(name) for name in RESAMPLINGS}) + "\n")

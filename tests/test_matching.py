@@ -199,7 +199,7 @@ class TestHierarchical:
     def test_sorted_and_unique(self):
         hr, lr = tiny_pair(seed=31)
         m = match_hierarchical(lr, hr, SMALL_CFG)
-        keys = [r.lr.sort_key() for r in m.records]
+        keys = [(r.lr.patient_id, r.lr.slice_index, r.lr.row, r.lr.col) for r in m.records]
         assert keys == sorted(keys)
         assert len(set(r.lr for r in m.records)) == len(m.records)
 
@@ -342,6 +342,13 @@ class TestManifestIO:
         path = tmp_path / "m.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="line 1"):
+            read_manifest(path)
+
+    def test_infinite_histogram_range_names_line_one(self, tmp_path):
+        raw = manifest_to_bytes(fabricated_manifest([0.5])).decode()
+        path = tmp_path / "m.jsonl"
+        path.write_text(raw.replace('"value_range": [0.0, 1.0]', '"value_range": [0.0, Infinity]', 1))
+        with pytest.raises(ValueError, match="line 1.*histogram range"):
             read_manifest(path)
 
     def test_fingerprint_mismatch_warns(self, tmp_path):

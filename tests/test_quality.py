@@ -27,6 +27,15 @@ class TestRmse:
         with pytest.raises(ValueError, match="mismatch"):
             rmse(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("tiny", [1e-200, 2.2e-313])
+    def test_tiny_difference_is_not_zero(self, tiny):
+        # squares of differences below about 1e-162 underflow to 0
+        x = np.zeros((8, 8))
+        y = x.copy()
+        y[3, 5] = tiny
+        assert rmse(y, x) == pytest.approx(tiny / 8, rel=1e-9)
+        assert psnr(y, x) == pytest.approx(20.0 * math.log10(8.0), abs=1e-9)
+
     @given(unit_images, unit_images, unit_images)
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, a, b, c):

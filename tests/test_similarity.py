@@ -63,6 +63,16 @@ class TestJointHistogram:
             joint_histogram(np.zeros((2, 2)), np.zeros((3, 3)), SPEC2)
 
 
+@pytest.mark.parametrize(
+    "value_range",
+    [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0), (0.0, 0.0)],
+    ids=["inf-hi", "inf-lo", "nan", "reversed", "empty"],
+)
+def test_histogram_range_must_be_finite_and_increasing(value_range):
+    with pytest.raises(ValueError, match="degenerate histogram range"):
+        HistogramSpec(value_range=value_range)
+
+
 class TestEntropy:
     def test_degenerate(self):
         assert entropy([1.0]) == 0.0
