@@ -78,12 +78,7 @@ def cmd_degrade(parser, args) -> int:
 
 
 def _match_config(args) -> matching.MatchConfig:
-    levels = {
-        "hierarchical": matching.MatchLevels.HIERARCHICAL,
-        "slice-patch": matching.MatchLevels.SLICE_AND_PATCH,
-        "patch-only": matching.MatchLevels.PATCH_ONLY,
-        "exhaustive": matching.MatchLevels.PATCH_ONLY,
-    }[args.levels]
+    levels = "patch-only" if args.levels == "exhaustive" else args.levels
     return matching.MatchConfig(
         patch_size=args.patch_size,
         stride=args.stride,
@@ -91,7 +86,7 @@ def _match_config(args) -> matching.MatchConfig:
         hist=HistogramSpec(bins=args.bins),
         rbf=RbfParams(gamma=args.gamma),
         threshold=args.threshold,
-        levels=levels,
+        levels=matching.MatchLevels(levels),
     )
 
 
@@ -133,8 +128,7 @@ def cmd_metrics(parser, args) -> int:
     if ref_ids != est_ids:
         raise ValueError(f"volume sets differ: {ref_ids} vs {est_ids}")
     rows = []  # every slice is evaluated before anything is printed
-    for rv in ref.volumes:
-        ev = est.volume(rv.patient_id)
+    for rv, ev in zip(ref.volumes, est.volumes):  # both in patient-id order
         if rv.data.shape != ev.data.shape:
             raise ValueError(
                 f"volume {rv.patient_id}: dimension mismatch {rv.data.shape} vs {ev.data.shape}"
@@ -247,11 +241,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(parser, args)
-    except SystemExit as e:  # parser.error from inside a command
+    except SystemExit as e:  # argparse, also parser.error from inside a command
         return int(e.code or 0)
     except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

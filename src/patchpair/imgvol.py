@@ -43,6 +43,8 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.patient_id, str) or not self.patient_id:
+            raise ValueError(f"patient id must be a non-empty string, got {self.patient_id!r}")
         arr = np.array(self.data, dtype=np.float32, copy=True)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError(f"volume data must be (slices, height, width), got {arr.shape}")
@@ -66,17 +68,13 @@ class Volume:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Volume):
             return NotImplemented
-        return (
-            self.patient_id == other.patient_id
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
-        )
+        return self.patient_id == other.patient_id and bool(np.array_equal(self.data, other.data))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Dataset:
-    """One domain's worth of volumes (label "LR" or "HR"), unique patient ids,
-    stored in patient-id order."""
+    """One domain's worth of volumes (label "LR" or "HR"): at least one volume,
+    unique patient ids, stored in patient-id order."""
 
     label: str
     volumes: tuple
@@ -84,6 +82,8 @@ class Dataset:
     def __post_init__(self):
         if self.label not in VALID_LABELS:
             raise ValueError(f"dataset label must be one of {VALID_LABELS}, got {self.label!r}")
+        if not self.volumes:
+            raise ValueError(f"empty {self.label} dataset: need at least one volume")
         vols = tuple(sorted(self.volumes, key=lambda v: v.patient_id))
         ids = [v.patient_id for v in vols]
         if len(set(ids)) != len(ids):
@@ -95,11 +95,6 @@ class Dataset:
             if v.patient_id == patient_id:
                 return v
         raise KeyError(patient_id)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.label == other.label and self.volumes == other.volumes
 
 
 @dataclass(frozen=True)
@@ -180,10 +175,10 @@ def load_volume(path) -> Volume:
         raise ValueError(
             f"length mismatch for {path}: payload {len(raw)} bytes, header implies {expected}"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(s, h, w)
-    if not np.isfinite(data).all():
-        raise ValueError(f"volume {path} contains non-finite values")
-    return Volume(pid, data)
+    try:
+        return Volume(pid, np.frombuffer(raw, dtype="<f4").reshape(s, h, w))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def load_dataset(dir_path, label: str) -> Dataset:
@@ -192,7 +187,11 @@ def load_dataset(dir_path, label: str) -> Dataset:
     paths = sorted(dir_path.glob("*.vol"))
     if not paths:
         raise ValueError(f"no *.vol files in {dir_path}")
-    return Dataset(label, tuple(load_volume(p) for p in paths))
+    vols = tuple(load_volume(p) for p in paths)  # each names its own file on error
+    try:
+        return Dataset(label, vols)
+    except ValueError as e:
+        raise ValueError(f"{dir_path}: {e}") from e
 
 
 def save_dataset(ds: Dataset, dir_path) -> None:

@@ -85,8 +85,10 @@ class LossBatch:
             arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
             if arr.shape != (shape[0],):
                 raise ValueError(f"{name} must have one value per batch item")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        if (self.w < 0).any() or (self.w > 1).any():
+        if not ((0 <= self.w) & (self.w <= 1)).all():
             raise ValueError("weights must lie in [0, 1]")
 
     @property
@@ -96,6 +98,11 @@ class LossBatch:
     @property
     def pixels(self) -> int:
         return self.x.shape[1] * self.x.shape[2]
+
+
+def _clamp(v: np.ndarray) -> np.ndarray:
+    """Discriminator outputs clamped into [CLAMP_EPS, 1 - CLAMP_EPS] for the log form."""
+    return np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 def _mean_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,12 +118,11 @@ def adversarial_loss(batch: LossBatch, kind: AdvKind = AdvKind.LEAST_SQUARES) ->
     real and 0 on generated outputs.
     """
     if kind is AdvKind.LOG:
-        c = lambda v: np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)
         return float(
-            np.log(c(batch.dy_y)).mean()
-            + np.log(1.0 - c(batch.dy_gx)).mean()
-            + np.log(c(batch.dx_x)).mean()
-            + np.log(1.0 - c(batch.dx_fy)).mean()
+            np.log(_clamp(batch.dy_y)).mean()
+            + np.log(1.0 - _clamp(batch.dy_gx)).mean()
+            + np.log(_clamp(batch.dx_x)).mean()
+            + np.log(1.0 - _clamp(batch.dx_fy)).mean()
         )
     return float(
         ((batch.dy_y - 1.0) ** 2).mean()
@@ -224,11 +230,10 @@ def loss_grad(
     g_fx = weights.lambda2 * scale * np.sign(batch.fx - batch.x)
     g_gy = weights.lambda2 * scale * np.sign(batch.gy - batch.y)
     if kind is AdvKind.LOG:
-        c = lambda v: np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)
-        g_dy_y = 1.0 / (b * c(batch.dy_y))
-        g_dy_gx = -1.0 / (b * (1.0 - c(batch.dy_gx)))
-        g_dx_x = 1.0 / (b * c(batch.dx_x))
-        g_dx_fy = -1.0 / (b * (1.0 - c(batch.dx_fy)))
+        g_dy_y = 1.0 / (b * _clamp(batch.dy_y))
+        g_dy_gx = -1.0 / (b * (1.0 - _clamp(batch.dy_gx)))
+        g_dx_x = 1.0 / (b * _clamp(batch.dx_x))
+        g_dx_fy = -1.0 / (b * (1.0 - _clamp(batch.dx_fy)))
     else:
         g_dy_y = 2.0 * (batch.dy_y - 1.0) / b
         g_dy_gx = 2.0 * batch.dy_gx / b
@@ -254,16 +259,18 @@ def write_loss_batch(batch: LossBatch, dir_path) -> None:
 def read_loss_batch(dir_path) -> LossBatch:
     """Load a batch directory written by write_loss_batch (or produced externally)."""
     dir_path = Path(dir_path)
-    images = {}
-    for role in IMAGE_ROLES:
-        images[role] = load_volume(dir_path / f"{role}.vol").data
+    images = {role: load_volume(dir_path / f"{role}.vol").data for role in IMAGE_ROLES}
     vpath = dir_path / "values.json"
-    if not vpath.exists():
-        raise FileNotFoundError(f"missing values file: {vpath}")
-    values = json.loads(vpath.read_text())
-    scalars = {}
+    try:
+        values = json.loads(vpath.read_text())  # a missing file raises FileNotFoundError naming it
+    except json.JSONDecodeError as e:
+        raise ValueError(f"unreadable values file {vpath}: {e}") from e
+    if not isinstance(values, dict):
+        raise ValueError(f"{vpath}: expected a JSON object, got {type(values).__name__}")
     for role in SCALAR_ROLES + ("w",):
         if role not in values:
-            raise ValueError(f"values.json missing field {role!r}")
-        scalars[role] = np.asarray(values[role], dtype=np.float64)
-    return LossBatch(**images, **scalars)
+            raise ValueError(f"{vpath}: missing field {role!r}")
+    try:
+        return LossBatch(**images, **{role: values[role] for role in SCALAR_ROLES + ("w",)})
+    except (TypeError, ValueError) as e:  # LossBatch checks the values' shape, finiteness and range
+        raise ValueError(f"{dir_path}: {e}") from e

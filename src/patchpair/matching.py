@@ -166,8 +166,6 @@ def _mean_image(vol: Volume) -> np.ndarray:
 def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
     """HR patient whose mean image (pixel-wise over slices) is most similar to
     the LR volume's mean image; ties go to the smallest patient_id."""
-    if not hr_set.volumes:
-        raise ValueError("empty HR set")
     candidates = ((v.patient_id, _mean_image(v)) for v in hr_set.volumes)
     return _argmax(_mean_image(lr_vol), candidates, cfg)[0]
 
@@ -198,8 +196,6 @@ def match_patch(
 
 
 def _validate_sets(lr_set: Dataset, hr_set: Dataset):
-    if not lr_set.volumes or not hr_set.volumes:
-        raise ValueError("both datasets must be non-empty")
     dims = {(v.height, v.width) for v in lr_set.volumes} | {(v.height, v.width) for v in hr_set.volumes}
     if len(dims) != 1:
         raise ValueError(f"datasets must have uniform dimensions, got {sorted(dims)}")
@@ -243,6 +239,7 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
 
 def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Argmax over every HR patient, slice and grid position for each LR patch."""
+    cfg = dataclasses.replace(cfg, levels=MatchLevels.PATCH_ONLY)  # the header records the search run
     h, w = _validate_sets(lr_set, hr_set)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
@@ -274,8 +271,6 @@ def filter_threshold(m: Manifest, tau: float) -> Manifest:
 
 def weight_stats(m: Manifest, bins: int = 20) -> MatchStats:
     """Uniform weight histogram over [0, 1] plus the mean and range queries."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     if not m.records:
         raise ValueError("no records")
     w = np.array([r.weight for r in m.records], dtype=np.float64)

@@ -67,11 +67,14 @@ def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
     """20*log10(peak/rmse) in dB with peak = max(y) of the reference by default.
 
     Identical images have no finite PSNR; that case returns ``math.inf``.
+    Otherwise the peak must be positive.
     """
     e = rmse(y, x)
     if e == 0.0:
         return math.inf
     p = float(np.max(y)) if peak is None else float(peak)
+    if not p > 0:
+        raise ValueError(f"PSNR needs a positive peak, got {p}")
     return 20.0 * math.log10(p / e)
 
 

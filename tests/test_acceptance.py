@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion. Every tolerance and runtime budget is asserted in-place.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from patchpair import (
     LossWeights,
     Manifest,
     MatchConfig,
+    MatchLevels,
     MatchRecord,
     PatchRef,
     PhantomSpec,
@@ -118,7 +120,10 @@ def test_criterion_3_matcher_oracle_equivalence():
             for lp, ls, row, col, key, weight in triple_loop_exhaustive(lr, hr, cfg)
         ]
         oracle = Manifest(
-            oracle_records, cfg, exhaustive.lr_fingerprint, exhaustive.hr_fingerprint
+            oracle_records,
+            dataclasses.replace(cfg, levels=MatchLevels.PATCH_ONLY),
+            exhaustive.lr_fingerprint,
+            exhaustive.hr_fingerprint,
         )
         assert manifest_to_bytes(exhaustive) == manifest_to_bytes(oracle)
 

@@ -323,3 +323,37 @@ class TestLossEval:
         vals = self._components(out)
         expected = vals["adv"] + 2 * vals["cyc"] + 3 * vals["idt"] + 5 * vals["pair"]
         assert vals["total"] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("values, message", [
+        ('{"dy_y": [0.5, 0.5], "dy_gx": [0.5, 0.5], "dx_x": [0.5, 0.5], "dx_fy": [0.5, 0.5], '
+         '"w": [NaN, 0.5]}', "w contains non-finite values"),
+        ('{"dy_y": [Infinity, 0.5], "dy_gx": [0.5, 0.5], "dx_x": [0.5, 0.5], "dx_fy": [0.5, 0.5], '
+         '"w": [0.5, 0.5]}', "dy_y contains non-finite values"),
+        ('{"dy_y": [0.5, ', "unreadable values file"),
+        ("[0.5, 0.5]", "expected a JSON object, got list"),
+    ], ids=["nan-w", "inf-dy_y", "truncated", "not-object"])
+    def test_bad_values_file_is_data_error(self, tmp_path, capsys, values, message):
+        self._write_batch(tmp_path / "b")
+        (tmp_path / "b" / "values.json").write_text(values)
+        for adv in ("least-squares", "log"):
+            code, out, err = run(capsys, "loss-eval", "--batch", str(tmp_path / "b"), "--adv", adv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and message in err
+            assert str(tmp_path / "b") in err
+
+
+def test_numeric_sidecar_patient_id_is_data_error(demo_tree, tmp_path, capsys):
+    hr = tmp_path / "hr"
+    hr.mkdir()
+    for p in sorted((demo_tree / "hr").iterdir()):
+        (hr / p.name).write_bytes(p.read_bytes())
+    (hr / "P001.vol.json").write_text(
+        (hr / "P001.vol.json").read_text().replace('"patient_id": "P001"', '"patient_id": 5')
+    )
+    code, out, err = run(capsys, "match", "--lr", str(demo_tree / "lr"), "--hr", str(hr),
+                         "--out", str(tmp_path / "m.jsonl"), "--patch-size", "32", "--stride", "16")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {hr / 'P001.vol'}: patient id must be a non-empty string, got 5\n"
+    assert not (tmp_path / "m.jsonl").exists()

@@ -35,6 +35,33 @@ def test_dataset_unique_ids():
     assert ds.volume("p") is v
 
 
+def test_dataset_needs_a_volume():
+    with pytest.raises(ValueError, match="empty HR dataset"):
+        Dataset("HR", ())
+
+
+@pytest.mark.parametrize("pid", [5, "", None])
+def test_patient_id_must_be_nonempty_string(pid):
+    with pytest.raises(ValueError, match="patient id must be a non-empty string"):
+        Volume(pid, np.zeros((1, 2, 2)))
+
+
+def test_numeric_sidecar_patient_id_names_file(tmp_path):
+    save_volume(Volume("n", np.zeros((1, 2, 2))), tmp_path / "n.vol")
+    (tmp_path / "n.vol.json").write_text('{"patient_id": 5, "height": 2, "width": 2, "slices": 1}')
+    with pytest.raises(ValueError, match=r"n\.vol: patient id must be a non-empty string, got 5"):
+        load_volume(tmp_path / "n.vol")
+
+
+def test_duplicate_ids_across_files_name_directory(tmp_path):
+    v = Volume("p", np.zeros((1, 2, 2)))
+    save_volume(v, tmp_path / "a.vol")
+    save_volume(v, tmp_path / "b.vol")
+    with pytest.raises(ValueError, match="duplicate patient ids") as info:
+        load_dataset(tmp_path, "LR")
+    assert str(info.value).startswith(f"{tmp_path}: ")
+
+
 def test_constant_volume_roundtrip(tmp_path):
     v = Volume("c", np.full((2, 256, 256), 0.5, dtype=np.float32))
     path = tmp_path / "c.vol"
@@ -90,8 +117,9 @@ def test_nonfinite_payload_rejected(tmp_path):
     path = tmp_path / "n.vol"
     path.write_bytes(np.array([np.inf], dtype="<f4").tobytes())
     (tmp_path / "n.vol.json").write_text('{"patient_id": "n", "height": 1, "width": 1, "slices": 1}')
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite") as info:
         load_volume(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_save_unwritable_path(tmp_path):

@@ -57,6 +57,13 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="weights"):
             make_batch(rng, w=np.array([0.5, 1.5, 0.2]))
 
+    @pytest.mark.parametrize("field, value", [("w", np.nan), ("dx_fy", np.inf), ("dy_y", -np.inf)])
+    def test_nonfinite_scalars_rejected(self, rng, field, value):
+        values = np.full(3, 0.5)
+        values[0] = value
+        with pytest.raises(ValueError, match=f"{field} contains non-finite values"):
+            make_batch(rng, **{field: values})
+
     def test_scalar_length(self, rng):
         with pytest.raises(ValueError):
             make_batch(rng, dy_y=np.array([0.5, 0.5]))

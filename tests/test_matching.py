@@ -230,6 +230,11 @@ class TestExhaustive:
         assert exh.keys() == hie.keys()
         assert all(exh[k] >= hie[k] for k in exh)
 
+    def test_header_records_patch_only(self):
+        hr, lr = tiny_pair(seed=37, patients=1, slices=1)
+        assert SMALL_CFG.levels is MatchLevels.HIERARCHICAL
+        assert match_exhaustive(lr, hr, SMALL_CFG).config.levels is MatchLevels.PATCH_ONLY
+
     def test_verbatim_patch_weight_one(self, small_dataset):
         cfg = MatchConfig(patch_size=32, stride=16, hist=HistogramSpec(bins=32))
         m = match_exhaustive(small_dataset, small_dataset, cfg)

@@ -64,6 +64,14 @@ class TestPsnr:
         x = y - 0.1
         assert psnr(y, x, peak=1.0) == pytest.approx(20.0, abs=1e-9)
 
+    @pytest.mark.parametrize("level", [0.0, -0.5])
+    def test_nonpositive_peak_rejected(self, level):
+        with pytest.raises(ValueError, match="PSNR needs a positive peak"):
+            psnr(np.full((4, 4), level), np.full((4, 4), 0.5))
+        with pytest.raises(ValueError, match="PSNR needs a positive peak"):
+            psnr(np.ones((4, 4)), np.full((4, 4), 0.5), peak=level)
+        assert psnr(np.full((4, 4), level), np.full((4, 4), level)) == math.inf
+
     def test_noise_monotonicity(self, rng):
         ref = rng.random((32, 32))
         values = []
