@@ -45,6 +45,9 @@ class Volume:
     def __post_init__(self):
         if not isinstance(self.patient_id, str) or not self.patient_id:
             raise ValueError(f"patient id must be a non-empty string, got {self.patient_id!r}")
+        # save_dataset names the file after the id, so it must stay inside its directory
+        if "/" in self.patient_id or "\\" in self.patient_id or self.patient_id in (".", ".."):
+            raise ValueError(f"patient id must be a plain file name, got {self.patient_id!r}")
         arr = np.array(self.data, dtype=np.float32, copy=True)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError(f"volume data must be (slices, height, width), got {arr.shape}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -19,12 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume
+from .imgvol import Dataset, PatchRef, Volume, require_pair
 from .similarity import (
     HistogramSpec,
     RbfParams,
     SimilarityKind,
     ZeroVarianceError,
+    _centred,
+    _code_entropy,
+    _codes,
+    _nmi,
     similarity,
     to_weight,
 )
@@ -142,6 +147,11 @@ def _windows(img: np.ndarray, grid, size: int):
     return [((r, c), img[r : r + size, c : c + size]) for r, c in grid]
 
 
+def _hr_windows(patient_id: str, slice_index: int, img: np.ndarray, grid, size: int):
+    """(PatchRef, view) of each grid window of one HR slice."""
+    return [(PatchRef(patient_id, slice_index, r, c, size), win) for (r, c), win in _windows(img, grid, size)]
+
+
 def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
     """(key, score) of the candidate image most similar to the query.
 
@@ -159,20 +169,96 @@ def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
     return best_key, best
 
 
+def _screenable(d: np.ndarray) -> bool:
+    """Whether every nonzero |d| lies in [2**-400, 2**400], so that no product
+    of two deviations underflows or overflows and the screen's bound holds."""
+    a = np.abs(d[d != 0.0])
+    return a.size == 0 or (a.min() >= 2.0**-400 and a.max() <= 2.0**400)
+
+
+class _Candidates:
+    """One match level's (key, image) candidates, prepared once and queried
+    for many LR images; ``best(query)`` is ``_argmax``'s (key, score), bit for bit.
+
+    NMI bins each candidate and takes its marginal entropy once, so a pair
+    costs one joint bincount. PCC keeps each candidate's centred pixels and
+    variance, screens every candidate with one matrix-vector product and
+    re-scores through ``_argmax`` only those the screen cannot rule out.
+    RBF runs the scalar loop.
+    """
+
+    def __init__(self, candidates, cfg: MatchConfig):
+        self.keys, self.images = map(list, zip(*candidates))
+        for img in self.images:
+            require_pair(self.images[0], img)
+        self.cfg = cfg
+        if cfg.metric is SimilarityKind.NMI:
+            self.codes = [_codes(img, cfg.hist) for img in self.images]
+            self.entropies = [_code_entropy(c) for c in self.codes]
+        elif cfg.metric is SimilarityKind.PCC:
+            self.d = np.empty((len(self.images), self.images[0].size))
+            vy = np.empty(len(self.images))
+            for k, img in enumerate(self.images):
+                self.d[k], vy[k] = _centred(img)
+            self.flat = vy == 0.0  # pcc raises ZeroVarianceError: the pair scores -1
+            self.sy = np.sqrt(np.where(self.flat, 1.0, vy))
+            self.screenable = all(map(_screenable, self.d))  # row by row: no stack-sized copy
+
+    def best(self, query: np.ndarray):
+        query, _ = require_pair(query, self.images[0])
+        if self.cfg.metric is SimilarityKind.NMI:
+            bx = _codes(query, self.cfg.hist)
+            hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
+            scores = np.array([_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)])
+            k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
+            return self.keys[k], float(scores[k])
+        if self.cfg.metric is SimilarityKind.PCC:
+            dx, vx = _centred(query)
+            if vx == 0.0:
+                return self.keys[0], -1.0  # every pair raises ZeroVarianceError and scores -1
+            if self.screenable and _screenable(dx):
+                # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's
+                # pairwise mean of dx * dy; the screen's is a BLAS dot, in any order
+                # and perhaps with FMA. Each sum is within P u / (1 - P u) times
+                # sum |dx_i dy_i| of the exact one, and Cauchy-Schwarz bounds that
+                # sum by P sqrt(vx vy), up to 1 + O(P u) from rounding vx and vy. So
+                # the cross terms differ by about P eps in r units; the divisions by
+                # P and by sqrt(vx) sqrt(vy) add two roundings per side (2 eps), and
+                # clamping to [-1, 1] does not widen the gap. Each screened score is
+                # thus within delta = (P + 4) eps of pcc's, with room for the O(P u)
+                # factors, while no product underflows or overflows (_screenable).
+                # An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
+                # s~_j - 2 delta for the screen's best j, so re-scoring, in key order,
+                # every candidate within 2 delta of the screen's best gives _argmax's
+                # key and score.
+                s = np.clip((self.d @ dx) / dx.size / (math.sqrt(vx) * self.sy), -1.0, 1.0)
+                s[self.flat] = -1.0
+                band = np.flatnonzero(s >= s.max() - 2.0 * (dx.size + 4) * np.finfo(np.float64).eps)
+                return _argmax(query, [(self.keys[k], self.images[k]) for k in band], self.cfg)
+        return _argmax(query, zip(self.keys, self.images), self.cfg)
+
+
 def _mean_image(vol: Volume) -> np.ndarray:
     return vol.data.mean(axis=0, dtype=np.float64)
+
+
+def _patients(hr_set: Dataset, cfg: MatchConfig) -> _Candidates:
+    return _Candidates([(v.patient_id, _mean_image(v)) for v in hr_set.volumes], cfg)
+
+
+def _slices(hr_vol: Volume):
+    return [((hr_vol.patient_id, i), img) for i, img in enumerate(hr_vol.data)]
 
 
 def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
     """HR patient whose mean image (pixel-wise over slices) is most similar to
     the LR volume's mean image; ties go to the smallest patient_id."""
-    candidates = ((v.patient_id, _mean_image(v)) for v in hr_set.volumes)
-    return _argmax(_mean_image(lr_vol), candidates, cfg)[0]
+    return _patients(hr_set, cfg).best(_mean_image(lr_vol))[0]
 
 
 def match_slice(lr_slice: np.ndarray, hr_vol: Volume, cfg: MatchConfig) -> int:
     """Index of the most similar slice in the HR volume; ties go to the smallest index."""
-    return _argmax(lr_slice, enumerate(hr_vol.data), cfg)[0]
+    return _Candidates(enumerate(hr_vol.data), cfg).best(lr_slice)[0]
 
 
 def match_patch(
@@ -191,14 +277,33 @@ def match_patch(
     if lr_patch.shape[0] != lr_patch.shape[1]:
         raise ValueError("query patch must be square")
     h, w = hr_slice.shape
-    (r, c), best = _argmax(lr_patch, _windows(hr_slice, patch_grid(h, w, size, cfg.stride), size), cfg)
-    return PatchRef(patient_id, slice_index, r, c, size), to_weight(cfg.metric, best)
+    grid = patch_grid(h, w, size, cfg.stride)
+    ref, best = _Candidates(_hr_windows(patient_id, slice_index, hr_slice, grid, size), cfg).best(lr_patch)
+    return ref, to_weight(cfg.metric, best)
 
 
-def _validate_sets(lr_set: Dataset, hr_set: Dataset):
+def _patch_records(lr_vol: Volume, s_idx: int, windows: _Candidates, grid, cfg: MatchConfig):
+    """One record per grid patch of LR slice s_idx, matched to its best HR window."""
+    size = cfg.patch_size
+    records = []
+    for (r, c), patch in _windows(lr_vol.data[s_idx], grid, size):
+        ref, best = windows.best(patch)
+        records.append(MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, size), ref, to_weight(cfg.metric, best)))
+    return records
+
+
+def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
     dims = {(v.height, v.width) for v in lr_set.volumes} | {(v.height, v.width) for v in hr_set.volumes}
     if len(dims) != 1:
         raise ValueError(f"datasets must have uniform dimensions, got {sorted(dims)}")
+    if cfg.metric is SimilarityKind.NMI:
+        lo, hi = cfg.hist.value_range
+        for ds in (lr_set, hr_set):
+            for v in ds.volumes:
+                if v.data.min() < lo or v.data.max() > hi:
+                    raise ValueError(
+                        f"{ds.label} volume {v.patient_id!r} has pixels outside the histogram range [{lo}, {hi}]"
+                    )
     return next(iter(dims))
 
 
@@ -216,47 +321,40 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
     pre-threshold records, sorted by LR patch reference."""
     if cfg.levels is MatchLevels.PATCH_ONLY:
         return match_exhaustive(lr_set, hr_set, cfg)
-    h, w = _validate_sets(lr_set, hr_set)
+    h, w = _validate_sets(lr_set, hr_set, cfg)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
-    hr_slices = [((v.patient_id, i), img) for v in hr_set.volumes for i, img in enumerate(v.data)]
+    # each level's candidates are prepared for the queries that use them, then dropped
+    if cfg.levels is MatchLevels.HIERARCHICAL:
+        patients = _patients(hr_set, cfg)
+    else:  # SLICE_AND_PATCH: best slice across every HR patient
+        slices = _Candidates([s for v in hr_set.volumes for s in _slices(v)], cfg)
 
     records = []
     for lr_vol in lr_set.volumes:
         if cfg.levels is MatchLevels.HIERARCHICAL:
-            hr_vol = hr_set.volume(match_patient(lr_vol, hr_set, cfg))
+            slices = _Candidates(_slices(hr_set.volume(patients.best(_mean_image(lr_vol))[0])), cfg)
         for s_idx, lr_slice in enumerate(lr_vol.data):
-            if cfg.levels is MatchLevels.HIERARCHICAL:
-                h_pid, h_idx = hr_vol.patient_id, match_slice(lr_slice, hr_vol, cfg)
-            else:  # SLICE_AND_PATCH: best slice across every HR patient
-                (h_pid, h_idx), _ = _argmax(lr_slice, hr_slices, cfg)
-            hr_slice = hr_set.volume(h_pid).data[h_idx]
-            for (r, c), patch in _windows(lr_slice, grid, size):
-                ref, weight = match_patch(patch, hr_slice, cfg, patient_id=h_pid, slice_index=h_idx)
-                records.append(MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, size), ref, weight))
+            (h_pid, h_idx), _ = slices.best(lr_slice)
+            windows = _Candidates(_hr_windows(h_pid, h_idx, hr_set.volume(h_pid).data[h_idx], grid, size), cfg)
+            records += _patch_records(lr_vol, s_idx, windows, grid, cfg)
     return _manifest(records, cfg, lr_set, hr_set)
 
 
 def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Argmax over every HR patient, slice and grid position for each LR patch."""
     cfg = dataclasses.replace(cfg, levels=MatchLevels.PATCH_ONLY)  # the header records the search run
-    h, w = _validate_sets(lr_set, hr_set)
+    h, w = _validate_sets(lr_set, hr_set, cfg)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
-    hr_windows = [
-        (PatchRef(v.patient_id, i, r, c, size), window)
-        for v in hr_set.volumes
-        for i, img in enumerate(v.data)
-        for (r, c), window in _windows(img, grid, size)
-    ]
-
+    hr_windows = _Candidates(
+        [win for v in hr_set.volumes for i, img in enumerate(v.data) for win in _hr_windows(v.patient_id, i, img, grid, size)],
+        cfg,
+    )
     records = []
     for lr_vol in lr_set.volumes:
-        for s_idx, lr_slice in enumerate(lr_vol.data):
-            for (r, c), patch in _windows(lr_slice, grid, size):
-                ref, best = _argmax(patch, hr_windows, cfg)
-                lr_ref = PatchRef(lr_vol.patient_id, s_idx, r, c, size)
-                records.append(MatchRecord(lr_ref, ref, to_weight(cfg.metric, best)))
+        for s_idx in range(lr_vol.n_slices):
+            records += _patch_records(lr_vol, s_idx, hr_windows, grid, cfg)
     return _manifest(records, cfg, lr_set, hr_set)
 
 

@@ -55,9 +55,10 @@ class RbfParams:
             raise ValueError(f"gamma must be positive and finite with 2 * gamma**2 > 0, got {self.gamma!r}")
 
 
-def _bin_indices(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+def _codes(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
+    """Flat bin index of every pixel; x * bins + y codes the joint bin of a pair."""
     lo, hi = spec.value_range
-    scaled = (np.asarray(img, dtype=np.float64) - lo) * (spec.bins / (hi - lo))
+    scaled = (np.asarray(img, dtype=np.float64).ravel() - lo) * (spec.bins / (hi - lo))
     idx = np.floor(scaled).astype(np.int64)
     # out-of-range values land in the edge bins
     return np.clip(idx, 0, spec.bins - 1)
@@ -66,12 +67,15 @@ def _bin_indices(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
 def joint_histogram(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> np.ndarray:
     """Read-only (bins, bins) int64 counts of co-occurring bin pairs over all pixels."""
     x, y = require_pair(x, y)
-    bx = _bin_indices(x, spec)
-    by = _bin_indices(y, spec)
-    flat = bx.ravel() * spec.bins + by.ravel()
+    flat = _codes(x, spec) * spec.bins + _codes(y, spec)
     counts = np.bincount(flat, minlength=spec.bins * spec.bins).reshape(spec.bins, spec.bins)
     counts.setflags(write=False)
     return counts
+
+
+def _plogp(p: np.ndarray) -> float:
+    """-sum(p ln p) of positive probabilities."""
+    return float(-(p * np.log(p)).sum())
 
 
 def entropy(marginal) -> float:
@@ -81,14 +85,23 @@ def entropy(marginal) -> float:
         raise ValueError("invalid distribution: negative or empty")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError(f"invalid distribution: sums to {float(p.sum())!r}")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return _plogp(p[p > 0])
+
+
+def _count_entropy(counts: np.ndarray, n) -> float:
+    """Entropy of counts / n from the sorted nonzero counts, so it depends only on their multiset."""
+    return _plogp(np.sort(counts[counts > 0]) / n)
+
+
+def _code_entropy(codes: np.ndarray) -> float:
+    """Entropy of the empirical distribution of a code vector."""
+    return _count_entropy(np.bincount(codes), codes.size)
 
 
 def _entropies(counts: np.ndarray):
-    """H_x, H_y and H_xy of a joint count table, each from its sorted nonzero counts over N."""
+    """H_x, H_y and H_xy of a joint count table."""
     n = counts.sum()
-    return tuple(entropy(np.sort(c[c > 0]) / n) for c in (counts.sum(axis=1), counts.sum(axis=0), counts.ravel()))
+    return tuple(_count_entropy(c, n) for c in (counts.sum(axis=1), counts.sum(axis=0), counts.ravel()))
 
 
 def mutual_information(counts: np.ndarray) -> float:
@@ -97,23 +110,31 @@ def mutual_information(counts: np.ndarray) -> float:
     return hx + hy - hxy
 
 
-def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> float:
-    """Normalized mutual information 2*I/(H_x + H_y) in [0, 1]; 0 for two constant patches."""
-    hx, hy, hxy = _entropies(joint_histogram(x, y, spec))
+def _nmi(hx: float, hy: float, hxy: float) -> float:
+    """2*I/(H_x + H_y) clamped to [0, 1]; 0 when both marginals are constant."""
     if hx + hy == 0.0:
         return 0.0
     return min(max(2.0 * (hx + hy - hxy) / (hx + hy), 0.0), 1.0)
 
 
+def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> float:
+    """Normalized mutual information 2*I/(H_x + H_y) in [0, 1]; 0 for two constant patches."""
+    x, y = require_pair(x, y)
+    bx, by = _codes(x, spec), _codes(y, spec)
+    return _nmi(_code_entropy(bx), _code_entropy(by), _code_entropy(bx * spec.bins + by))
+
+
+def _centred(img: np.ndarray):
+    """(d, v): the float64 deviations of img's pixels from their mean, and their mean square."""
+    f = img.astype(np.float64).ravel()
+    d = f - f.mean()
+    return d, float((d * d).mean())
+
+
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
     x, y = require_pair(x, y)
-    xf = x.astype(np.float64).ravel()
-    yf = y.astype(np.float64).ravel()
-    dx = xf - xf.mean()
-    dy = yf - yf.mean()
-    vx = float((dx * dx).mean())
-    vy = float((dy * dy).mean())
+    (dx, vx), (dy, vy) = _centred(x), _centred(y)
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))

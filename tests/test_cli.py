@@ -357,3 +357,38 @@ def test_numeric_sidecar_patient_id_is_data_error(demo_tree, tmp_path, capsys):
     assert out == ""
     assert err == f"error: {hr / 'P001.vol'}: patient id must be a non-empty string, got 5\n"
     assert not (tmp_path / "m.jsonl").exists()
+
+
+def test_path_escaping_sidecar_patient_id_is_data_error(demo_tree, tmp_path, capsys):
+    src = tmp_path / "in"
+    src.mkdir()
+    for p in sorted((demo_tree / "hr").iterdir()):
+        (src / p.name).write_bytes(p.read_bytes())
+    (src / "P000.vol.json").write_text(
+        (src / "P000.vol.json").read_text().replace('"patient_id": "P000"', '"patient_id": "../escaped"')
+    )
+    code, out, err = run(capsys, "preprocess", "--input", str(src), "--output", str(tmp_path / "out"),
+                         "--target", "64")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {src / 'P000.vol'}: patient id must be a plain file name, got '../escaped'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
+def test_nmi_input_outside_histogram_range_is_data_error(demo_tree, tmp_path, capsys):
+    hr = tmp_path / "hr"
+    hr.mkdir()
+    for p in sorted((demo_tree / "hr").iterdir()):
+        (hr / p.name).write_bytes(p.read_bytes())
+    save_volume(Volume("P001", load_volume(hr / "P001.vol").data * 1000.0), hr / "P001.vol")
+    argv = ["match", "--lr", str(demo_tree / "lr"), "--hr", str(hr), "--patch-size", "32", "--stride", "16"]
+    for levels in ("hierarchical", "slice-patch", "exhaustive"):
+        out_path = tmp_path / f"{levels}.jsonl"
+        code, out, err = run(capsys, *argv, "--levels", levels, "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: HR volume 'P001' has pixels outside the histogram range [0.0, 1.0]\n"
+        assert not out_path.exists()
+    # PCC has no histogram, so the same input matches
+    code, _, _ = run(capsys, *argv, "--metric", "pcc", "--out", str(tmp_path / "pcc.jsonl"))
+    assert code == 0

@@ -46,6 +46,12 @@ def test_patient_id_must_be_nonempty_string(pid):
         Volume(pid, np.zeros((1, 2, 2)))
 
 
+@pytest.mark.parametrize("pid", ["../escaped", "a/b", "a\\b", ".", ".."])
+def test_patient_id_must_be_plain_file_name(pid):
+    with pytest.raises(ValueError, match="patient id must be a plain file name"):
+        Volume(pid, np.zeros((1, 2, 2)))
+
+
 def test_numeric_sidecar_patient_id_names_file(tmp_path):
     save_volume(Volume("n", np.zeros((1, 2, 2))), tmp_path / "n.vol")
     (tmp_path / "n.vol.json").write_text('{"patient_id": 5, "height": 2, "width": 2, "slices": 1}')

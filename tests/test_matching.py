@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchpair import (
     Dataset,
@@ -29,7 +32,7 @@ from patchpair import (
     weight_stats,
     write_manifest,
 )
-from patchpair.matching import FingerprintMismatchWarning, manifest_to_bytes
+from patchpair.matching import FingerprintMismatchWarning, _argmax, _Candidates, manifest_to_bytes
 from .oracles import manifest_tuples, triple_loop_exhaustive
 
 SMALL_CFG = MatchConfig(patch_size=16, stride=16, hist=HistogramSpec(bins=16))
@@ -143,6 +146,50 @@ class TestMatchPatch:
         assert weight == best[0]
 
 
+@st.composite
+def query_and_candidates(draw):
+    """A query and candidate images with the cases a prepared set must get right:
+    constant images, duplicates, affine copies (PCC ties up to rounding), 1-ulp
+    neighbours and tiny magnitudes."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    pixels = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    image = hnp.arrays(np.float64, shape, elements=pixels)
+    images = draw(st.lists(image, min_size=1, max_size=6))
+    kinds = st.sampled_from(["constant", "duplicate", "affine", "ulp"])
+    for kind in draw(st.lists(kinds, max_size=6)):
+        img = images[draw(st.integers(0, len(images) - 1))].copy()
+        if kind == "constant":
+            img[...] = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        elif kind == "affine":
+            img = img * draw(st.sampled_from([-1.0, 0.1, 1.0, 3.0])) + draw(st.sampled_from([0.0, 1.0]))
+        elif kind == "ulp":
+            i = draw(st.integers(0, img.size - 1))
+            img.flat[i] = np.nextafter(img.flat[i], draw(st.sampled_from([-1.0, 2.0])))
+        images.insert(draw(st.integers(0, len(images))), img)
+    query = draw(st.one_of(image, st.sampled_from(images).map(np.copy)))
+    # at 1e-160 the products of deviations underflow, which the PCC screen must not trust
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-160]))
+    return query * scale, [img * scale for img in images]
+
+
+# Two equal candidates that a BLAS matrix-vector product may score 1 ulp apart
+# (seen with OpenBLAS: rows at different offsets); the re-score must pick the first.
+_TWIN = np.array([[0.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]]) * 1e-3
+
+
+class TestPreparedCandidates:
+    @given(query_and_candidates(), st.sampled_from(list(SimilarityKind)), st.integers(2, 16))
+    @example((_TWIN, [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2)
+    # a constant candidate (-1) must lose to a negative correlation
+    @example((np.array([[0.0, 1.0, 0.5]]), [np.full((1, 3), 0.3), np.array([[1.0, 0.0, 0.0]])]), SimilarityKind.PCC, 2)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scalar_argmax_bit_for_bit(self, case, metric, bins):
+        query, images = case
+        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins))
+        candidates = list(enumerate(images))
+        assert _Candidates(candidates, cfg).best(query) == _argmax(query, candidates, cfg)
+
+
 class TestHierarchical:
     def test_self_match_identity(self, small_dataset):
         cfg = MatchConfig(patch_size=32, stride=16, hist=HistogramSpec(bins=32))
@@ -208,6 +255,17 @@ class TestHierarchical:
         b = generate_dataset(PhantomSpec(seed=1, patients=1, slices_per_patient=1, size=64), label="LR")
         with pytest.raises(ValueError, match="uniform"):
             match_hierarchical(b, a, SMALL_CFG)
+
+    @pytest.mark.parametrize("levels", list(MatchLevels))
+    def test_nmi_refuses_pixels_outside_histogram_range(self, levels):
+        hr, lr = tiny_pair(seed=73, patients=1, slices=1)
+        data = lr.volumes[0].data.copy()
+        data[0, 0, 0] = -1e-6
+        cfg = dataclasses.replace(SMALL_CFG, levels=levels)
+        with pytest.raises(ValueError, match=r"LR volume 'Q' has pixels outside the histogram range \[0\.0, 1\.0\]"):
+            match_hierarchical(Dataset("LR", (Volume("Q", data),)), hr, cfg)
+        data[0, 0, 0], data[0, 0, 1] = 0.0, 1.0  # both ends of the range are inside it
+        assert match_hierarchical(Dataset("LR", (Volume("Q", data),)), hr, cfg).records
 
 
 class TestExhaustive:
