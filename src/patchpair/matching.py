@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume, require_pair
+from .imgvol import Dataset, PatchRef, Volume, require_image, require_pair
 from .similarity import (
     HistogramSpec,
     RbfParams,
@@ -205,7 +205,9 @@ class _Candidates:
             self.screenable = all(map(_screenable, self.d))  # row by row: no stack-sized copy
 
     def best(self, query: np.ndarray):
-        query, _ = require_pair(query, self.images[0])
+        query = require_image(query)  # __init__ validated every candidate
+        if query.shape != self.images[0].shape:
+            raise ValueError(f"dimension mismatch: {query.shape} vs {self.images[0].shape}")
         if self.cfg.metric is SimilarityKind.NMI:
             bx = _codes(query, self.cfg.hist)
             hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
@@ -417,6 +419,9 @@ def write_manifest(m: Manifest, path) -> None:
 def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = None) -> Manifest:
     """Parse a manifest file; malformed lines raise with their line number.
 
+    Every record's LR and HR patches have the header's patch size, and the LR
+    refs strictly increase by (patient, slice, row, col): no repeats, in order.
+
     When expected fingerprints are supplied, a mismatch emits
     FingerprintMismatchWarning rather than failing.
     """
@@ -435,6 +440,7 @@ def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = Non
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: parse error at line 1: bad header ({e})") from e
     records = []
+    last = None  # the previous record's LR (patient, slice, row, col)
     for n, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
@@ -443,6 +449,13 @@ def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = Non
                 hr=_ref_from_obj(obj["hr"]),
                 weight=float(obj["weight"]),
             )
+            for side, ref in (("lr", rec.lr), ("hr", rec.hr)):
+                if ref.size != config.patch_size:
+                    raise ValueError(f"{side} size {ref.size} differs from the header's patch_size {config.patch_size}")
+            key = (rec.lr.patient_id, rec.lr.slice_index, rec.lr.row, rec.lr.col)
+            if last is not None and key <= last:
+                raise ValueError(f"LR ref {key} is not after the previous record's {last}")
+            last = key
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: parse error at line {n}: {e}") from e
         records.append(rec)

@@ -88,25 +88,26 @@ def _jitter_params(params: _PatientParams, perturbation: float, spec: PhantomSpe
     return _PatientParams(ring, jitter_blobs(params.blobs_start), jitter_blobs(params.blobs_end))
 
 
-def _render_slice(spec: PhantomSpec, params: _PatientParams, t: float) -> np.ndarray:
+def _render_volume(spec: PhantomSpec, params: _PatientParams, patient_id: str) -> Volume:
+    """Render every slice: the ring, which the slice index does not move, is
+    drawn once; the blobs are interpolated between the keyframes per slice."""
     size = spec.size
     centre = (size - 1) / 2.0
     ii, jj = np.meshgrid(
         np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij"
     )
-    d = np.hypot(ii - centre, jj - centre)
     r0, sg, amp = params.ring
-    img = amp * np.exp(-0.5 * ((d - r0) / sg) ** 2)
-    blobs = params.blobs_start + (params.blobs_end - params.blobs_start) * t
-    for ci, cj, ri, rj, a in blobs:
-        img += a * np.exp(-0.5 * (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2))
-    return np.clip(img, 0.0, 1.0)
-
-
-def _render_volume(spec: PhantomSpec, params: _PatientParams, patient_id: str) -> Volume:
+    ring = amp * np.exp(-0.5 * ((np.hypot(ii - centre, jj - centre) - r0) / sg) ** 2)
     s = spec.slices_per_patient
     ts = [k / (s - 1) if s > 1 else 0.0 for k in range(s)]
-    return Volume(patient_id, np.stack([_render_slice(spec, params, t) for t in ts]))
+    data = np.empty((s, size, size))
+    for img, t in zip(data, ts):
+        img[...] = ring
+        blobs = params.blobs_start + (params.blobs_end - params.blobs_start) * t
+        for ci, cj, ri, rj, a in blobs:
+            img += a * np.exp(-0.5 * (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2))
+        np.clip(img, 0.0, 1.0, out=img)
+    return Volume(patient_id, data)
 
 
 def generate_dataset(spec: PhantomSpec, label: str = "HR") -> Dataset:

@@ -128,6 +128,34 @@ def principal_axis_angle(img):
     return ang
 
 
+def keys_weight(x, a=-0.5):
+    """Keys (1981) cubic-convolution kernel at offset x, written out piecewise."""
+    x = abs(x)
+    if x <= 1.0:
+        return (a + 2.0) * x**3 - (a + 3.0) * x**2 + 1.0
+    if x < 2.0:
+        return a * x**3 - 5.0 * a * x**2 + 8.0 * a * x - 4.0 * a
+    return 0.0
+
+
+def bicubic_sample_loop(img, rows, cols):
+    """Keys interpolation at each (row, col), one point and one of its 16 taps
+    at a time, with border-clamped pixel indices; points more than half a
+    pixel outside the grid read as 0."""
+    img = np.asarray(img, dtype=np.float64)
+    h, w = img.shape
+    out = np.zeros(len(rows))
+    for n, (r, c) in enumerate(zip(rows, cols)):
+        if not (-0.5 <= r <= h - 0.5 and -0.5 <= c <= w - 0.5):
+            continue
+        r0, c0 = math.floor(r), math.floor(c)
+        for i in range(r0 - 1, r0 + 3):
+            for j in range(c0 - 1, c0 + 3):
+                pixel = img[min(max(i, 0), h - 1), min(max(j, 0), w - 1)]
+                out[n] += pixel * keys_weight(r - i) * keys_weight(c - j)
+    return out
+
+
 _L1_RESIDUALS = {
     "gx": "y",
     "fy": "x",

@@ -201,6 +201,24 @@ class TestStats:
         assert "no records" in err
 
 
+    @pytest.mark.parametrize("edit", ["swap", "repeat", "size"])
+    def test_record_invariant_violation_is_data_error(self, manifest_path, tmp_path, capsys, edit):
+        head, *records = manifest_path.read_text().splitlines()
+        if edit == "swap":
+            records[0], records[1] = records[1], records[0]
+        elif edit == "repeat":
+            records[1] = records[0]
+        else:
+            records[1] = records[1].replace('"size": 32}, "hr"', '"size": 17}, "hr"', 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([head] + records) + "\n")
+        code, out, err = run(capsys, "stats", "--manifest", str(path), "--csv", str(tmp_path / "h.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: parse error at line 3: ")
+        assert not (tmp_path / "h.csv").exists()
+
+
 class TestMetrics:
     def test_identical_dirs(self, demo_tree, capsys):
         code, out, _ = run(capsys, "metrics", "--reference", str(demo_tree / "hr"),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -412,6 +413,24 @@ class TestManifestIO:
         path = tmp_path / "m.jsonl"
         path.write_text(raw.replace('"value_range": [0.0, 1.0]', '"value_range": [0.0, Infinity]', 1))
         with pytest.raises(ValueError, match="line 1.*histogram range"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("side", ["lr", "hr"])
+    def test_record_size_other_than_patch_size_names_line(self, tmp_path, side):
+        head, first, second = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).decode().splitlines()
+        obj = json.loads(second)
+        obj[side]["size"] = 17
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, first, json.dumps(obj)]) + "\n")
+        with pytest.raises(ValueError, match=f"parse error at line 3: {side} size 17 differs from the header's patch_size 16"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("order", [[2, 1], [1, 1]], ids=["swapped", "repeated"])
+    def test_lr_refs_out_of_order_or_repeated_name_line(self, tmp_path, order):
+        head, *records = manifest_to_bytes(fabricated_manifest([0.5, 0.6, 0.7])).decode().splitlines()
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, records[0]] + [records[i] for i in order]) + "\n")
+        with pytest.raises(ValueError, match=r"parse error at line 4: LR ref \('a', 0, 0, 16\) is not after the previous"):
             read_manifest(path)
 
     def test_fingerprint_mismatch_warns(self, tmp_path):

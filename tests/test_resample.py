@@ -3,21 +3,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchpair import (
     DegradeParams,
+    PhantomSpec,
     Volume,
     bicubic_resize,
     degrade,
     gaussian_blur,
     gaussian_kernel,
+    generate_dataset,
     preprocess,
     psnr,
     recenter,
     rotation_correct,
 )
-from patchpair.resample import DegenerateImageWarning
-from .oracles import direct_conv2d_reflect, principal_axis_angle
+from patchpair import resample
+from patchpair.resample import _SAMPLE_BLOCK, DegenerateImageWarning, _bicubic_sample, _taps
+from .oracles import bicubic_sample_loop, direct_conv2d_reflect, principal_axis_angle
 
 
 def render_ellipse(size, angle, a=40.0, b=12.0, centre=None):
@@ -172,6 +177,90 @@ class TestRecenter:
         with pytest.warns(DegenerateImageWarning):
             out = recenter(img)
         assert np.array_equal(out, img)
+
+
+def einsum_sample(img, rows, cols):
+    """The sampler as one gather of the (n, 4, 4) tap stack and one three-operand
+    einsum: the byte-exact reference for ``_bicubic_sample``."""
+    h, w = img.shape
+    ri, wr = _taps(rows, h)
+    ci, wc = _taps(cols, w)
+    g = img[ri[:, :, None], ci[:, None, :]]
+    vals = np.einsum("nab,na,nb->n", g, wr, wc)
+    outside = (rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)
+    vals[outside] = 0.0
+    return vals
+
+
+def sample_coords(rng, n, length):
+    """n coordinates on an axis of the given length, each from one of: the
+    interior, the clamped band within half a pixel of the grid, outside that band
+    (read as 0), or an exact integer or band edge."""
+    low = rng.random(n) < 0.5
+    regions = [
+        rng.uniform(0.0, length - 1.0, n),
+        np.where(low, rng.uniform(-0.5, 0.0, n), rng.uniform(length - 1.0, length - 0.5, n)),
+        np.where(low, rng.uniform(-3.0, -0.5, n), rng.uniform(length - 0.5, length + 2.0, n)),
+        rng.choice([-0.5, 0.0, float(length // 2), length - 1.0, length - 0.5], n),
+    ]
+    return np.choose(rng.integers(0, len(regions), n), regions)
+
+
+POINT_COUNTS = [0, 1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 17]
+
+
+@st.composite
+def sampler_inputs(draw, counts=st.sampled_from(POINT_COUNTS) | st.integers(2, 64),
+                   scales=st.sampled_from([1.0, 1e-3, 1e-300, 1e300])):
+    """An image of 1-40 x 1-40 pixels (some of them +0.0 or -0.0) and points to sample."""
+    h, w, n = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = rng.uniform(-1.0, 1.0, (h, w)) * draw(scales)
+    img[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = draw(st.sampled_from([0.0, -0.0]))
+    return img, sample_coords(rng, n, h), sample_coords(rng, n, w)
+
+
+class TestBicubicSample:
+    @given(sampler_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_einsum_reference_byte_for_byte(self, inputs):
+        img, rows, cols = inputs
+        assert _bicubic_sample(img, rows, cols).tobytes() == einsum_sample(img, rows, cols).tobytes()
+
+    @pytest.mark.parametrize("n", POINT_COUNTS)
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 40), (40, 1), (40, 40)])
+    def test_every_block_boundary_byte_for_byte(self, n, shape):
+        rng = np.random.default_rng(n)
+        img = rng.random(shape)
+        rows, cols = sample_coords(rng, n, shape[0]), sample_coords(rng, n, shape[1])
+        assert _bicubic_sample(img, rows, cols).tobytes() == einsum_sample(img, rows, cols).tobytes()
+
+    def test_negative_zero_image_byte_for_byte(self):
+        # at integer points every tap term is -0.0; the einsum's sum starts at +0.0
+        img = np.full((5, 6), -0.0)
+        rows, cols = np.array([0.0, 2.0, 4.0, -0.5]), np.array([0.0, 3.0, 5.0, 5.5])
+        assert _bicubic_sample(img, rows, cols).tobytes() == einsum_sample(img, rows, cols).tobytes()
+
+    def test_rotation_correct_on_phantom_slice_byte_for_byte(self, monkeypatch):
+        img = generate_dataset(PhantomSpec(seed=5, patients=1, slices_per_patient=1, size=256)).volumes[0].data[0]
+        fast = rotation_correct(img)
+        monkeypatch.setattr(resample, "_bicubic_sample", einsum_sample)
+        assert not np.array_equal(fast, img)  # the slice was rotated, not passed through
+        assert fast.tobytes() == rotation_correct(img).tobytes()
+
+    @given(sampler_inputs(counts=st.integers(0, 64), scales=st.just(1.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_point_oracle(self, inputs):
+        img, rows, cols = inputs
+        np.testing.assert_allclose(_bicubic_sample(img, rows, cols), bicubic_sample_loop(img, rows, cols),
+                                   rtol=0, atol=1e-12)
+
+    def test_matches_per_point_oracle_across_a_block_boundary(self):
+        rng = np.random.default_rng(3)
+        img = rng.random((23, 31))
+        rows, cols = sample_coords(rng, _SAMPLE_BLOCK + 1, 23), sample_coords(rng, _SAMPLE_BLOCK + 1, 31)
+        np.testing.assert_allclose(_bicubic_sample(img, rows, cols), bicubic_sample_loop(img, rows, cols),
+                                   rtol=0, atol=1e-12)
 
 
 class TestRotationCorrect:
