@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume, require_image, require_pair
+from .imgvol import Dataset, PatchRef, Volume, require_image
 from .similarity import (
     HistogramSpec,
     RbfParams,
@@ -189,8 +189,10 @@ class _Candidates:
 
     def __init__(self, candidates, cfg: MatchConfig):
         self.keys, self.images = map(list, zip(*candidates))
-        for img in self.images:
-            require_pair(self.images[0], img)
+        shape = require_image(self.images[0]).shape
+        for img in self.images[1:]:
+            if require_image(img).shape != shape:
+                raise ValueError(f"dimension mismatch: {shape} vs {np.shape(img)}")
         self.cfg = cfg
         if cfg.metric is SimilarityKind.NMI:
             self.codes = [_codes(img, cfg.hist) for img in self.images]

@@ -65,8 +65,8 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _taps(src: np.ndarray, n: int):
-    """Clamped indices (m, 4) and Keys weights (m, 4) of the four taps around each
-    source coordinate, at distances 1 + t, t, 1 - t and 2 - t with t = src - floor(src).
+    """Clamped indices and Keys weights, each (4, m) in tap order, of the four taps
+    around each source coordinate, at distances 1 + t, t, 1 - t and 2 - t with t = src - floor(src).
 
     The inner taps take the near polynomial and the outer taps the far one; the
     far polynomial is exactly 0 at distances 1 and 2, so t = 0 and t = 1 need no case.
@@ -74,16 +74,19 @@ def _taps(src: np.ndarray, n: int):
     base = np.floor(src)
     t = src - base
     a = _KEYS_A
-    near = [((a + 2.0) * s - (a + 3.0)) * s * s + 1.0 for s in (t, 1.0 - t)]
-    far = [((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a for s in (1.0 + t, 2.0 - t)]
-    idx = np.clip(base.astype(np.int64)[:, None] + np.arange(-1, 3), 0, n - 1)
-    return idx, np.stack([far[0], near[0], near[1], far[1]], axis=-1)
+    w = np.empty((4, src.size))
+    for k, s in ((1, t), (2, 1.0 - t)):
+        w[k] = ((a + 2.0) * s - (a + 3.0)) * s * s + 1.0
+    for k, s in ((0, 1.0 + t), (3, 2.0 - t)):
+        w[k] = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
+    idx = base.astype(np.int64) + np.arange(-1, 3)[:, None]
+    return np.clip(idx, 0, n - 1, out=idx), w
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     in_len = arr.shape[axis]
     src = (np.arange(out_len, dtype=np.float64) + 0.5) * (in_len / out_len) - 0.5
-    idx, w = _taps(src, in_len)
+    idx, w = (np.ascontiguousarray(x.T) for x in _taps(src, in_len))  # (m, 4): the einsum keeps its summation order
     g = np.take(arr, idx, axis=axis)
     if axis == 0:
         return np.einsum("okw,ok->ow", g, w)
@@ -122,25 +125,30 @@ def degrade_volume(v: Volume, params: DegradeParams) -> Volume:
 
 def _bicubic_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sample arbitrary (row, col) points with the Keys kernel; points more than
-    half a pixel outside the grid read as 0.
+    half a pixel outside the grid read as +0.0.
 
-    Each value is 0.0 plus the 16 terms (pixel * row weight) * column weight,
+    Each inside value is 0.0 plus the 16 terms (pixel * row weight) * column weight,
     added in row-major tap order, which is np.einsum("nab,na,nb->n") over the
-    (n, 4, 4) tap stack bit for bit. Points go in blocks so temporaries stay small.
+    (n, 4, 4) tap stack bit for bit. Inside points go in blocks so temporaries stay small.
     """
     h, w = img.shape
     flat = img.ravel()
     vals = np.zeros(rows.size)
-    for lo in range(0, rows.size, _SAMPLE_BLOCK):
-        ri, wr = _taps(rows[lo : lo + _SAMPLE_BLOCK], h)
-        ci, wc = _taps(cols[lo : lo + _SAMPLE_BLOCK], w)
-        offsets, wr, ci, wc = (ri * w).T.copy(), wr.T.copy(), ci.T.copy(), wc.T.copy()
-        acc = vals[lo : lo + _SAMPLE_BLOCK]  # a view: the sums land in vals
+    inside = np.flatnonzero(~((rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)))
+    for lo in range(0, inside.size, _SAMPLE_BLOCK):
+        pts = inside[lo : lo + _SAMPLE_BLOCK]
+        ri, wr = _taps(rows[pts], h)
+        ci, wc = _taps(cols[pts], w)
+        ri *= w
+        acc, ix, term = np.zeros(pts.size), np.empty(pts.size, dtype=np.int64), np.empty(pts.size)
         for a in range(4):
             for b in range(4):
-                acc += flat[offsets[a] + ci[b]] * wr[a] * wc[b]
-    outside = (rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)
-    vals[outside] = 0.0
+                np.add(ri[a], ci[b], out=ix)
+                flat.take(ix, out=term, mode="clip")  # ix is in range: "clip" only skips a buffered copy
+                term *= wr[a]
+                term *= wc[b]
+                acc += term
+        vals[pts] = acc
     return vals
 
 

@@ -9,6 +9,7 @@ nmi(x, x) is exactly 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -73,11 +74,6 @@ def joint_histogram(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = Histogra
     return counts
 
 
-def _plogp(p: np.ndarray) -> float:
-    """-sum(p ln p) of positive probabilities."""
-    return float(-(p * np.log(p)).sum())
-
-
 def entropy(marginal) -> float:
     """Shannon entropy in nats of a probability vector, with 0*ln(0) := 0."""
     p = np.asarray(marginal, dtype=np.float64).ravel()
@@ -85,12 +81,27 @@ def entropy(marginal) -> float:
         raise ValueError("invalid distribution: negative or empty")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError(f"invalid distribution: sums to {float(p.sum())!r}")
-    return _plogp(p[p > 0])
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
+_TABLE_MAX_N = 2**20  # a table holds 8 (n + 1) bytes; a larger n takes its terms per count
+
+
+@functools.lru_cache(maxsize=4)
+def _plogp_table(n) -> np.ndarray:
+    """Read-only (c/n) ln(c/n) for c = 0 ... n (entry 0 is 0): each count's entropy term, bit for bit."""
+    p = np.arange(1, n + 1) / n
+    table = np.concatenate(([0.0], p * np.log(p)))
+    table.setflags(write=False)
+    return table
 
 
 def _count_entropy(counts: np.ndarray, n) -> float:
     """Entropy of counts / n from the sorted nonzero counts, so it depends only on their multiset."""
-    return _plogp(np.sort(counts[counts > 0]) / n)
+    c = np.sort(counts[counts > 0])
+    terms = _plogp_table(n)[c] if n <= _TABLE_MAX_N else (c / n) * np.log(c / n)
+    return float(-terms.sum())
 
 
 def _code_entropy(codes: np.ndarray) -> float:
@@ -106,6 +117,8 @@ def _entropies(counts: np.ndarray):
 
 def mutual_information(counts: np.ndarray) -> float:
     """Plug-in mutual information H_x + H_y - H_xy in nats of a joint count table."""
+    if counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ValueError(f"counts must be nonnegative integers, got a {counts.dtype} table")
     hx, hy, hxy = _entropies(counts)
     return hx + hy - hxy
 

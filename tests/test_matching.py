@@ -190,6 +190,20 @@ class TestPreparedCandidates:
         candidates = list(enumerate(images))
         assert _Candidates(candidates, cfg).best(query) == _argmax(query, candidates, cfg)
 
+    @pytest.mark.parametrize("metric", list(SimilarityKind))
+    def test_wrong_shaped_candidate_refused(self, metric):
+        images = [np.zeros((4, 4)), np.ones((4, 4)), np.zeros((4, 5))]
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(4, 4\) vs \(4, 5\)"):
+            _Candidates(enumerate(images), MatchConfig(metric=metric))
+
+    @pytest.mark.parametrize("metric", list(SimilarityKind))
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_candidate_refused(self, metric, position):
+        images = [np.zeros((4, 4)), np.ones((4, 4)), np.full((4, 4), 0.5)]
+        images[position][1, 2] = np.nan
+        with pytest.raises(ValueError, match="image contains non-finite values"):
+            _Candidates(enumerate(images), MatchConfig(metric=metric))
+
 
 class TestHierarchical:
     def test_self_match_identity(self, small_dataset):

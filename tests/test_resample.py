@@ -21,7 +21,7 @@ from patchpair import (
     rotation_correct,
 )
 from patchpair import resample
-from patchpair.resample import _SAMPLE_BLOCK, DegenerateImageWarning, _bicubic_sample, _taps
+from patchpair.resample import _KEYS_A, _SAMPLE_BLOCK, DegenerateImageWarning, _bicubic_sample
 from .oracles import bicubic_sample_loop, direct_conv2d_reflect, principal_axis_angle
 
 
@@ -179,12 +179,41 @@ class TestRecenter:
         assert np.array_equal(out, img)
 
 
+def reference_taps(src, n):
+    """Clamped indices (m, 4) and Keys weights (m, 4): a frozen copy of the library's
+    tap rule as it stood before the taps were built in place, so that the byte-exact
+    references below do not move with the code under test."""
+    base = np.floor(src)
+    t = src - base
+    a = _KEYS_A
+    near = [((a + 2.0) * s - (a + 3.0)) * s * s + 1.0 for s in (t, 1.0 - t)]
+    far = [((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a for s in (1.0 + t, 2.0 - t)]
+    idx = np.clip(base.astype(np.int64)[:, None] + np.arange(-1, 3), 0, n - 1)
+    return idx, np.stack([far[0], near[0], near[1], far[1]], axis=-1)
+
+
+def einsum_resize(img, out_h, out_w):
+    """Each axis as one gather of the (m, 4) taps and one einsum: the byte-exact
+    reference for ``bicubic_resize``."""
+
+    def axis_pass(arr, out_len, axis):
+        in_len = arr.shape[axis]
+        src = (np.arange(out_len, dtype=np.float64) + 0.5) * (in_len / out_len) - 0.5
+        idx, w = reference_taps(src, in_len)
+        g = np.take(arr, idx, axis=axis)
+        if axis == 0:
+            return np.einsum("okw,ok->ow", g, w)
+        return np.einsum("hok,ok->ho", g, w)
+
+    return axis_pass(axis_pass(np.asarray(img, dtype=np.float64), out_h, 0), out_w, 1)
+
+
 def einsum_sample(img, rows, cols):
     """The sampler as one gather of the (n, 4, 4) tap stack and one three-operand
     einsum: the byte-exact reference for ``_bicubic_sample``."""
     h, w = img.shape
-    ri, wr = _taps(rows, h)
-    ci, wc = _taps(cols, w)
+    ri, wr = reference_taps(rows, h)
+    ci, wc = reference_taps(cols, w)
     g = img[ri[:, :, None], ci[:, None, :]]
     vals = np.einsum("nab,na,nb->n", g, wr, wc)
     outside = (rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)
@@ -261,6 +290,57 @@ class TestBicubicSample:
         rows, cols = sample_coords(rng, _SAMPLE_BLOCK + 1, 23), sample_coords(rng, _SAMPLE_BLOCK + 1, 31)
         np.testing.assert_allclose(_bicubic_sample(img, rows, cols), bicubic_sample_loop(img, rows, cols),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_inside", [_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1])
+    def test_block_boundaries_counted_in_inside_points(self, n_inside):
+        # the sampler blocks only the points within half a pixel of the grid
+        rng = np.random.default_rng(n_inside)
+        h, w, n = 23, 31, 2 * n_inside + 1
+        img = rng.random((h, w))
+        rows, cols = rng.uniform(-0.5, h - 0.5, n), rng.uniform(-0.5, w - 0.5, n)
+        outside = np.arange(n) % 2 == 0
+        by_row = rng.random(n) < 0.5
+        rows[outside & by_row] = rng.choice([-3.0, np.nextafter(-0.5, -1.0), np.nextafter(h - 0.5, h), h + 2.0],
+                                            (outside & by_row).sum())
+        cols[outside & ~by_row] = rng.choice([-3.0, np.nextafter(-0.5, -1.0), np.nextafter(w - 0.5, w), w + 2.0],
+                                             (outside & ~by_row).sum())
+        within = (rows >= -0.5) & (rows <= h - 0.5) & (cols >= -0.5) & (cols <= w - 0.5)
+        assert np.array_equal(within, ~outside) and within.sum() == n_inside
+        vals = _bicubic_sample(img, rows, cols)
+        assert vals.tobytes() == einsum_sample(img, rows, cols).tobytes()
+        assert vals[outside].tobytes() == bytes(8 * outside.sum())  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("n", [1, _SAMPLE_BLOCK + 1])
+    def test_every_point_outside(self, n):
+        rng = np.random.default_rng(n)
+        img = rng.uniform(-1.0, 1.0, (6, 9))
+        rows = rng.choice([-0.75, 6.0, 40.0], n)
+        cols = rng.uniform(-1.0, 9.0, n)
+        vals = _bicubic_sample(img, rows, cols)
+        assert vals.tobytes() == bytes(8 * n)
+        assert vals.tobytes() == einsum_sample(img, rows, cols).tobytes()
+
+
+class TestBicubicResizeBytes:
+    @pytest.mark.parametrize("shape, out", [
+        ((64, 64), (48, 48)),
+        ((64, 64), (80, 80)),
+        ((64, 48), (80, 36)),
+        ((1, 40), (1, 17)),
+        ((40, 1), (13, 1)),
+        ((1, 1), (5, 3)),
+        ((30, 30), (1, 1)),
+        ((1, 1), (1, 1)),
+    ], ids=str)
+    def test_equals_einsum_reference_byte_for_byte(self, rng, shape, out):
+        img = rng.random(shape)
+        assert bicubic_resize(img, *out).tobytes() == einsum_resize(img, *out).tobytes()
+
+    def test_down_and_up_at_256_byte_for_byte(self):
+        img = generate_dataset(PhantomSpec(seed=5, patients=1, slices_per_patient=1, size=256)).volumes[0].data[0]
+        down = bicubic_resize(img, 64, 64)
+        assert down.tobytes() == einsum_resize(img, 64, 64).tobytes()
+        assert bicubic_resize(down, 256, 256).tobytes() == einsum_resize(down, 256, 256).tobytes()
 
 
 class TestRotationCorrect:

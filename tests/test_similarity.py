@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,6 +20,7 @@ from patchpair import (
     similarity,
     to_weight,
 )
+from patchpair.similarity import _TABLE_MAX_N, _count_entropy, _plogp_table
 from .oracles import mi_double_loop
 
 SPEC2 = HistogramSpec(bins=2)
@@ -103,6 +104,12 @@ class TestMutualInformation:
         for _ in range(20):
             h = joint_histogram(rng.random((12, 12)), rng.random((12, 12)), spec)
             assert mutual_information(h) == pytest.approx(mi_double_loop(h), abs=1e-12)
+
+    @pytest.mark.parametrize("table", [np.array([[1.0, 2.0], [3.0, 0.0]]), np.array([[5, -3], [0, 1]])],
+                             ids=["float", "negative"])
+    def test_refuses_what_is_not_a_count_table(self, table):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            mutual_information(table)
 
     def test_bounded_by_marginal_entropies(self, rng):
         spec = HistogramSpec(bins=8)
@@ -238,3 +245,92 @@ class TestSymmetryAndRange:
         assert 0.0 < r <= 1.0
         if x.max() - x.min() > 1e-3 and y.max() - y.min() > 1e-3:
             assert -1.0 <= pcc(x, y) <= 1.0
+
+
+# Per-count references: the entropy, binning, MI and NMI as computed before the
+# count-indexed table, kept verbatim so that the table is checked against code
+# that does not move with it.
+def reference_count_entropy(counts, n):
+    p = np.sort(counts[counts > 0]) / n
+    return float(-(p * np.log(p)).sum())
+
+
+def reference_codes(img, spec):
+    lo, hi = spec.value_range
+    scaled = (np.asarray(img, dtype=np.float64).ravel() - lo) * (spec.bins / (hi - lo))
+    return np.clip(np.floor(scaled).astype(np.int64), 0, spec.bins - 1)
+
+
+def reference_mutual_information(counts):
+    n = counts.sum()
+    hx, hy, hxy = (reference_count_entropy(c, n) for c in (counts.sum(axis=1), counts.sum(axis=0), counts.ravel()))
+    return hx + hy - hxy
+
+
+def reference_nmi(x, y, spec):
+    bx, by = reference_codes(x, spec), reference_codes(y, spec)
+    hx, hy, hxy = (reference_count_entropy(np.bincount(c), c.size) for c in (bx, by, bx * spec.bins + by))
+    if hx + hy == 0.0:
+        return 0.0
+    return min(max(2.0 * (hx + hy - hxy) / (hx + hy), 0.0), 1.0)
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def count_vectors(draw):
+    """(counts, n): one cell holding all n, n cells of 1, or n split over up to
+    4,096 cells with Dirichlet-drawn probabilities (many empty cells at small
+    alpha); "large" splits an n above the table's limit over up to 64 cells."""
+    kind = draw(st.sampled_from(["single", "ones", "random", "large"]))
+    n = draw(st.integers(_TABLE_MAX_N + 1, 2**40) if kind == "large" else st.integers(1, 70_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        counts = np.zeros(draw(st.integers(1, 64)), dtype=np.int64)
+        counts[rng.integers(counts.size)] = n
+    elif kind == "ones":
+        counts = np.ones(n, dtype=np.int64)
+    else:
+        cells = draw(st.integers(1, 64 if kind == "large" else 4096))
+        alpha = draw(st.sampled_from([0.05, 1.0, 20.0]))
+        counts = rng.multinomial(n, rng.dirichlet(np.full(cells, alpha)))
+    return counts, draw(st.sampled_from([int, np.int64]))(n)
+
+
+@st.composite
+def image_pairs(draw):
+    """Two same-shaped images in [0, 1], each random, constant or a copy of the other, and a bin count."""
+    shape = (draw(st.integers(1, 48)), draw(st.integers(1, 48)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random(shape) if draw(st.booleans()) else np.full(shape, draw(st.floats(0.0, 1.0)))
+    y = draw(st.sampled_from(["random", "constant", "copy"]))
+    y = {"random": rng.random(shape), "constant": np.full(shape, 0.3), "copy": x.copy()}[y]
+    return x, y, HistogramSpec(bins=draw(st.integers(2, 64)))
+
+
+class TestCountTable:
+    @given(count_vectors())
+    @example((np.array([1]), 1))
+    @example((np.array([0, 70_000, 0]), 70_000))
+    @example((np.ones(70_000, dtype=np.int64), 70_000))
+    @example((np.array([_TABLE_MAX_N]), _TABLE_MAX_N))
+    @example((np.array([_TABLE_MAX_N + 1, 0]), _TABLE_MAX_N + 1))
+    @settings(max_examples=200, deadline=None)
+    def test_count_entropy_equals_per_count_form_bit_for_bit(self, case):
+        counts, n = case
+        assert bits(_count_entropy(counts, n)) == bits(reference_count_entropy(counts, n))
+
+    def test_no_table_above_the_limit(self):
+        _plogp_table.cache_clear()
+        assert mutual_information(np.array([[2**40, 0], [0, 2**40]])) == math.log(2)
+        assert _plogp_table.cache_info().misses == 0
+
+    @given(image_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_nmi_and_mutual_information_bit_for_bit(self, case):
+        x, y, spec = case
+        assert bits(nmi(x, y, spec)) == bits(reference_nmi(x, y, spec))
+        counts = joint_histogram(x, y, spec)
+        assert bits(mutual_information(counts)) == bits(reference_mutual_information(counts))
