@@ -149,7 +149,7 @@ def save_volume(v: Volume, path) -> None:
         "width": v.width,
         "slices": v.n_slices,
     }
-    path.write_bytes(v.data.astype("<f4").tobytes())
+    path.write_bytes(np.ascontiguousarray(v.data, dtype="<f4"))  # the array's own buffer, no bytes copy
     _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
 
 

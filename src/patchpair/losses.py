@@ -19,6 +19,7 @@ import numpy as np
 from .imgvol import Volume, load_volume, save_volume
 
 CLAMP_EPS = 1e-7
+_REDUCE_BLOCK = 1 << 16  # float64 elements per chunk of items in _mean_abs
 
 IMAGE_ROLES = ("x", "y", "gx", "fy", "fgx", "gfy", "fx", "gy")
 SCALAR_ROLES = ("dy_y", "dy_gx", "dx_x", "dx_fy")
@@ -45,14 +46,22 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative and finite")
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # np.isfinite(arr).all() without ndarray.all's Python-level wrapper, which
+    # costs as much as the scan itself on the small batches of a gradient check
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
 @dataclass(frozen=True, eq=False)
 class LossBatch:
     """One batch of externally computed evaluations.
 
     Image fields are (B, H, W): inputs x (LR) and y (HR), generator outputs
     gx = G(x), fy = F(y), cycle outputs fgx = F(G(x)), gfy = G(F(y)), identity
-    outputs fx = F(x), gy = G(y). Scalar fields are (B,): discriminator outputs
-    and the per-pair similarity weights w in [0, 1].
+    outputs fx = F(x), gy = G(y). A float32 or float64 image array is kept as
+    given, without a copy; any other input is converted to float64. Scalar
+    fields are (B,) float64: discriminator outputs and the per-pair similarity
+    weights w in [0, 1]. Every value is finite.
     """
 
     x: np.ndarray
@@ -71,13 +80,17 @@ class LossBatch:
 
     def __post_init__(self):
         for name in IMAGE_ROLES:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = getattr(self, name)
+            keep = isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)
+            arr = np.asarray(arr, dtype=arr.dtype if keep else np.float64)
             if arr.ndim != 3:
                 raise ValueError(f"{name} must be (batch, h, w), got {arr.shape}")
+            if not _all_finite(arr):
+                raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         shape = self.x.shape
-        if shape[0] < 1:
-            raise ValueError("empty batch")
+        if min(shape) < 1:
+            raise ValueError(f"empty batch or image, shape {shape}")
         for name in IMAGE_ROLES:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} shape {getattr(self, name).shape} != {shape}")
@@ -85,7 +98,7 @@ class LossBatch:
             arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
             if arr.shape != (shape[0],):
                 raise ValueError(f"{name} must have one value per batch item")
-            if not np.isfinite(arr).all():
+            if not _all_finite(arr):
                 raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         if not ((0 <= self.w) & (self.w <= 1)).all():
@@ -102,12 +115,32 @@ class LossBatch:
 
 def _clamp(v: np.ndarray) -> np.ndarray:
     """Discriminator outputs clamped into [CLAMP_EPS, 1 - CLAMP_EPS] for the log form."""
-    return np.clip(v, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return np.minimum(np.maximum(v, CLAMP_EPS), 1.0 - CLAMP_EPS)  # np.clip's bits, without its wrapper
 
 
 def _mean_abs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-item mean absolute difference, shape (B,)."""
-    return np.abs(a - b).mean(axis=(1, 2))
+    """Per-item mean absolute difference in float64, shape (B,).
+
+    Whole items go through one reused C-ordered float64 buffer of about
+    _REDUCE_BLOCK elements (one item if an item is larger), so a float32 batch
+    is never copied whole. The result has the bits of
+    np.abs(a - b).mean(axis=(1, 2)) on C-contiguous float64 copies of a and b.
+    """
+    n, h, w = a.shape
+    k = max(1, _REDUCE_BLOCK // (h * w))
+    buf = np.empty((min(k, n), h, w))
+    sums = np.empty(n)
+    for lo in range(0, n, k):
+        part = np.subtract(a[lo : lo + k], b[lo : lo + k], out=buf[: n - lo], dtype=np.float64)
+        # ndarray.mean's own sum and division, without its Python-level wrapper
+        np.add.reduce(np.abs(part, out=part), axis=(1, 2), out=sums[lo : lo + k])
+    return sums / (h * w)
+
+
+def _sign_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sign(a - b) of the float64 difference: a float32 one would keep the
+    gradients float32, since a Python float times a float32 array stays float32."""
+    return np.sign(np.subtract(a, b, dtype=np.float64))
 
 
 def adversarial_loss(batch: LossBatch, kind: AdvKind = AdvKind.LEAST_SQUARES) -> float:
@@ -223,12 +256,12 @@ def loss_grad(
     b = batch.batch_size
     scale = 1.0 / (b * batch.pixels)
     w3 = weights.lambda3 * batch.w[:, None, None] * scale
-    g_gx = w3 * np.sign(batch.gx - batch.y)
-    g_fy = w3 * np.sign(batch.fy - batch.x)
-    g_fgx = weights.lambda1 * scale * np.sign(batch.fgx - batch.x)
-    g_gfy = weights.lambda1 * scale * np.sign(batch.gfy - batch.y)
-    g_fx = weights.lambda2 * scale * np.sign(batch.fx - batch.x)
-    g_gy = weights.lambda2 * scale * np.sign(batch.gy - batch.y)
+    g_gx = w3 * _sign_diff(batch.gx, batch.y)
+    g_fy = w3 * _sign_diff(batch.fy, batch.x)
+    g_fgx = weights.lambda1 * scale * _sign_diff(batch.fgx, batch.x)
+    g_gfy = weights.lambda1 * scale * _sign_diff(batch.gfy, batch.y)
+    g_fx = weights.lambda2 * scale * _sign_diff(batch.fx, batch.x)
+    g_gy = weights.lambda2 * scale * _sign_diff(batch.gy, batch.y)
     if kind is AdvKind.LOG:
         g_dy_y = 1.0 / (b * _clamp(batch.dy_y))
         g_dy_gx = -1.0 / (b * (1.0 - _clamp(batch.dy_gx)))

@@ -94,10 +94,14 @@ def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
 
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Cubic-convolution resize; bit-exact identity when output dims equal input dims."""
+    """Cubic-convolution resize; the identity when output dims equal input dims."""
     arr = require_image(img).astype(np.float64)
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be >= 1")
+    if arr.shape == (out_h, out_w):
+        # the taps at t = 0 weigh each pixel 1 and its neighbours 0, and the sums
+        # start at +0.0, so -0.0 pixels come out +0.0
+        return arr + 0.0
     return _resize_axis(_resize_axis(arr, out_h, 0), out_w, 1)
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from patchpair import AdvKind, LossBatch, LossWeights, total_loss
+from patchpair.losses import IMAGE_ROLES, LossBreakdown, LossGradients
 from patchpair.similarity import ZeroVarianceError, similarity, to_weight
 
 
@@ -228,3 +229,57 @@ def make_fd_safe_batch(rng, batch_size=4, side=8):
         dy_y=d_out(), dy_gx=d_out(), dx_x=d_out(), dx_fy=d_out(),
         w=rng.uniform(0.0, 1.0, batch_size),
     )
+
+
+def float64_loss_reference(batch: LossBatch, weights: LossWeights, kind: AdvKind):
+    """total_loss and loss_grad as computed on a whole-batch float64 copy of every
+    image role, with whole-batch reductions: the bit-for-bit reference for the
+    item-by-item path. Returns (LossBreakdown, LossGradients)."""
+    im = {name: np.asarray(getattr(batch, name), dtype=np.float64) for name in IMAGE_ROLES}
+    x, y, w = im["x"], im["y"], batch.w
+
+    def clamp(v):
+        return np.clip(v, 1e-7, 1.0 - 1e-7)
+
+    def mean_abs(a, b):
+        return np.abs(a - b).mean(axis=(1, 2))
+
+    if kind is AdvKind.LOG:
+        adv = float(
+            np.log(clamp(batch.dy_y)).mean()
+            + np.log(1.0 - clamp(batch.dy_gx)).mean()
+            + np.log(clamp(batch.dx_x)).mean()
+            + np.log(1.0 - clamp(batch.dx_fy)).mean()
+        )
+    else:
+        adv = float(
+            ((batch.dy_y - 1.0) ** 2).mean()
+            + (batch.dy_gx**2).mean()
+            + ((batch.dx_x - 1.0) ** 2).mean()
+            + (batch.dx_fy**2).mean()
+        )
+    cyc = float((mean_abs(im["fgx"], x) + mean_abs(im["gfy"], y)).mean())
+    idt = float((mean_abs(im["fx"], x) + mean_abs(im["gy"], y)).mean())
+    pair = float((w * (mean_abs(im["gx"], y) + mean_abs(im["fy"], x))).mean())
+    total = adv + weights.lambda1 * cyc + weights.lambda2 * idt + weights.lambda3 * pair
+    breakdown = LossBreakdown(total=total, adv=adv, cyc=cyc, idt=idt, pair=pair)
+
+    b = x.shape[0]
+    scale = 1.0 / (b * x.shape[1] * x.shape[2])
+    w3 = weights.lambda3 * w[:, None, None] * scale
+    if kind is AdvKind.LOG:
+        d = (1.0 / (b * clamp(batch.dy_y)), -1.0 / (b * (1.0 - clamp(batch.dy_gx))),
+             1.0 / (b * clamp(batch.dx_x)), -1.0 / (b * (1.0 - clamp(batch.dx_fy))))
+    else:
+        d = (2.0 * (batch.dy_y - 1.0) / b, 2.0 * batch.dy_gx / b,
+             2.0 * (batch.dx_x - 1.0) / b, 2.0 * batch.dx_fy / b)
+    grads = LossGradients(
+        gx=w3 * np.sign(im["gx"] - y),
+        fy=w3 * np.sign(im["fy"] - x),
+        fgx=weights.lambda1 * scale * np.sign(im["fgx"] - x),
+        gfy=weights.lambda1 * scale * np.sign(im["gfy"] - y),
+        fx=weights.lambda2 * scale * np.sign(im["fx"] - x),
+        gy=weights.lambda2 * scale * np.sign(im["gy"] - y),
+        dy_y=d[0], dy_gx=d[1], dx_x=d[2], dx_fy=d[3],
+    )
+    return breakdown, grads

@@ -87,6 +87,17 @@ def test_roundtrip_bit_exact(tmp_path, rng):
     assert loaded.data.dtype == np.float32
 
 
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_payload_is_row_major_for_any_layout(tmp_path, rng, layout):
+    data = rng.random((3, 17, 23)).astype(np.float32)
+    given = np.asfortranarray(data) if layout == "fortran" else data.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    v = Volume("r", given)
+    assert not v.data.flags.c_contiguous
+    save_volume(v, tmp_path / "r.vol")
+    assert (tmp_path / "r.vol").read_bytes() == data.astype("<f4").tobytes()
+    assert np.array_equal(load_volume(tmp_path / "r.vol").data, data)
+
+
 def test_payload_length_mismatch(tmp_path):
     v = Volume("m", np.zeros((2, 8, 8)))
     path = tmp_path / "m.vol"

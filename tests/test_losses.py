@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchpair import (
     AdvKind,
@@ -19,7 +22,9 @@ from patchpair import (
     weighted_supervised_loss,
     write_loss_batch,
 )
-from .oracles import fd_check_gradients, make_fd_safe_batch
+from patchpair import losses
+from patchpair.losses import IMAGE_ROLES, SCALAR_ROLES
+from .oracles import fd_check_gradients, float64_loss_reference, make_fd_safe_batch
 
 
 def make_batch(rng, batch=3, side=4, **overrides):
@@ -67,6 +72,34 @@ class TestBatchValidation:
     def test_scalar_length(self, rng):
         with pytest.raises(ValueError):
             make_batch(rng, dy_y=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (3, 0, 4), (3, 4, 0)])
+    def test_empty_batch_or_image_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match="empty batch or image"):
+            make_batch(rng, **{name: np.zeros(shape) for name in IMAGE_ROLES})
+
+    @pytest.mark.parametrize("role", IMAGE_ROLES)
+    def test_nonfinite_images_rejected(self, rng, role):
+        img = rng.random((3, 4, 4)).astype(np.float32)
+        img[1, 2, 3] = (np.nan, np.inf, -np.inf)[IMAGE_ROLES.index(role) % 3]
+        with pytest.raises(ValueError, match=f"^{role} contains non-finite values"):
+            make_batch(rng, **{role: img})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_images_kept_without_copy(self, rng, dtype):
+        img = rng.random((3, 4, 4)).astype(dtype)
+        b = make_batch(rng, gx=img)
+        assert b.gx is img
+
+    @pytest.mark.parametrize("value", [
+        np.arange(48, dtype=np.int64).reshape(3, 4, 4),
+        np.ones((3, 4, 4), dtype=np.float16),
+        np.zeros((3, 4, 4)).tolist(),
+    ], ids=["int64", "float16", "list"])
+    def test_other_images_become_float64(self, rng, value):
+        b = make_batch(rng, fx=value)
+        assert b.fx.dtype == np.float64
+        assert np.array_equal(b.fx, np.asarray(value, dtype=np.float64))
 
 
 class TestAdversarialLoss:
@@ -240,6 +273,105 @@ class TestGradients:
             b = make_fd_safe_batch(rng, batch_size=2, side=4)
             worst = fd_check_gradients(b, lw, kind, loss_grad(b, lw, kind))
             assert worst < 1e-4
+
+
+L1_TARGETS = {"gx": "y", "fy": "x", "fgx": "x", "gfy": "y", "fx": "x", "gy": "y"}
+
+
+@st.composite
+def loss_batches(draw):
+    """1-4 items of 1-40 x 1-40 px whose image roles are all float32, all float64,
+    or each either, with a share of each output's pixels exactly equal to its target's."""
+    b, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtypes = draw(st.sampled_from(["float32", "float64", "mixed"]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    tie = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    images = {}
+    for name in IMAGE_ROLES:
+        v = rng.standard_normal((b, h, w)) * scale
+        images[name] = v if dtypes == "float64" else v.astype(np.float32)
+    for role, target in L1_TARGETS.items():
+        same = rng.random((b, h, w)) < tie
+        images[role][same] = images[target][same]
+    if dtypes == "mixed":
+        for name in IMAGE_ROLES:
+            if rng.random() < 0.5:
+                images[name] = images[name].astype(np.float64)
+    scalars = {name: rng.uniform(0.0, 1.0, b) for name in SCALAR_ROLES + ("w",)}
+    return LossBatch(**images, **scalars)
+
+
+def lambdas():
+    return st.builds(LossWeights, *(st.floats(0.0, 1e3) for _ in range(3)))
+
+
+def same_bits(got, want):
+    """Equal dtype and bytes for arrays; equal bits for the float fields of a LossBreakdown."""
+    if isinstance(got, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return np.array(dataclasses.astuple(got)).tobytes() == np.array(dataclasses.astuple(want)).tobytes()
+
+
+def assert_grads_same_bits(got, want):
+    for field in dataclasses.fields(got):
+        assert same_bits(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+class TestFloat64Reference:
+    """Reducing a few whole items at a time gives the bits and dtypes of
+    whole-batch float64 reductions on a float64 copy of the batch."""
+
+    @given(loss_batches(), lambdas(), st.sampled_from(list(AdvKind)))
+    @settings(max_examples=200, deadline=None)
+    def test_total_loss_and_grad_match_reference(self, batch, lw, kind):
+        want_loss, want_grad = float64_loss_reference(batch, lw, kind)
+        assert same_bits(total_loss(batch, lw, kind), want_loss)
+        assert_grads_same_bits(loss_grad(batch, lw, kind), want_grad)
+
+    @pytest.mark.parametrize("block", [1, 99, 150, losses._REDUCE_BLOCK])
+    def test_every_chunk_boundary_matches_reference(self, monkeypatch, block):
+        # block 1 gives one item per chunk; 99 and 150 give 2 and 3 items of 49 px with a short last chunk
+        monkeypatch.setattr(losses, "_REDUCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for b, h, w in ((5, 7, 7), (7, 5, 10), (1, 3, 3), (3, 256, 257)):
+            batch = make_batch(rng, batch=b, side=1, **{
+                name: rng.standard_normal((b, h, w)).astype(np.float32) for name in IMAGE_ROLES})
+            for kind in AdvKind:
+                want_loss, want_grad = float64_loss_reference(batch, LossWeights(), kind)
+                assert same_bits(total_loss(batch, kind=kind), want_loss)
+                assert_grads_same_bits(loss_grad(batch, kind=kind), want_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layout_does_not_change_bits(self, dtype):
+        # a whole-batch mean(axis=(1, 2)) sums a Fortran-ordered batch in another order
+        rng = np.random.default_rng(8)
+        for shape in ((3, 37, 29), (2, 64, 64), (4, 2, 33), (3, 256, 257)):
+            c = make_batch(rng, batch=shape[0], side=1, **{
+                name: rng.random(shape).astype(dtype) for name in IMAGE_ROLES})
+            fortran = {name: np.asfortranarray(getattr(c, name)) for name in IMAGE_ROLES}
+            transposed = {name: np.ascontiguousarray(getattr(c, name).transpose(0, 2, 1)).transpose(0, 2, 1)
+                          for name in IMAGE_ROLES}
+            for layout in (fortran, transposed):
+                other = dataclasses.replace(c, **layout)
+                assert not other.x.flags.c_contiguous
+                for kind in AdvKind:
+                    assert same_bits(total_loss(other, kind=kind), total_loss(c, kind=kind))
+                    assert_grads_same_bits(loss_grad(other, kind=kind), loss_grad(c, kind=kind))
+
+    def test_read_and_evaluate_hold_about_the_payload(self, tmp_path):
+        rng = np.random.default_rng(5)
+        b, side = 16, 128
+        write_loss_batch(make_batch(rng, batch=b, side=1, **{
+            name: rng.random((b, side, side), dtype=np.float32) for name in IMAGE_ROLES}), tmp_path / "b")
+        payload = len(IMAGE_ROLES) * b * side * side * 4
+        tracemalloc.start()
+        try:
+            total_loss(read_loss_batch(tmp_path / "b"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestBatchIO:

@@ -21,7 +21,7 @@ from patchpair import (
     rotation_correct,
 )
 from patchpair import resample
-from patchpair.resample import _KEYS_A, _SAMPLE_BLOCK, DegenerateImageWarning, _bicubic_sample
+from patchpair.resample import _KEYS_A, _SAMPLE_BLOCK, DegenerateImageWarning, _bicubic_sample, _resize_axis
 from .oracles import bicubic_sample_loop, direct_conv2d_reflect, principal_axis_angle
 
 
@@ -335,6 +335,20 @@ class TestBicubicResizeBytes:
     def test_equals_einsum_reference_byte_for_byte(self, rng, shape, out):
         img = rng.random(shape)
         assert bicubic_resize(img, *out).tobytes() == einsum_resize(img, *out).tobytes()
+
+    @given(st.integers(1, 19), st.integers(1, 19), st.integers(0, 2**32 - 1),
+           st.sampled_from([0, -300, 300]), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_size_equals_tap_path_byte_for_byte(self, h, w, seed, exponent, dtype):
+        # the shortcut skips the taps: each pixel times 1 plus three zero terms
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** (exponent if dtype is np.float64 else exponent // 10)  # float32 stops near 3e38
+        img = (rng.uniform(-1.0, 1.0, (h, w)) * scale).astype(dtype)
+        zeros = rng.random((h, w))
+        img[zeros < 0.3] = -0.0
+        img[(zeros >= 0.3) & (zeros < 0.5)] = 0.0
+        taps = _resize_axis(_resize_axis(img.astype(np.float64), h, 0), w, 1)
+        assert bicubic_resize(img, h, w).tobytes() == taps.tobytes()
 
     def test_down_and_up_at_256_byte_for_byte(self):
         img = generate_dataset(PhantomSpec(seed=5, patients=1, slices_per_patient=1, size=256)).volumes[0].data[0]
