@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +29,7 @@ from .similarity import (
     _code_entropy,
     _codes,
     _nmi,
+    _pcc_centred,
     similarity,
     to_weight,
 )
@@ -126,7 +126,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
     for v in ds.volumes:
         h.update(v.patient_id.encode())
         h.update(np.int64(v.data.shape).tobytes())
-        h.update(v.data.astype("<f4").tobytes())
+        h.update(np.ascontiguousarray(v.data, dtype="<f4"))  # C-order bytes, copied only when v.data is not
     return "sha256:" + h.hexdigest()
 
 
@@ -178,13 +178,13 @@ def _screenable(d: np.ndarray) -> bool:
 
 class _Candidates:
     """One match level's (key, image) candidates, prepared once and queried
-    for many LR images; ``best(query)`` is ``_argmax``'s (key, score), bit for bit.
+    for many LR images; ``best_many(queries)`` is each query's ``_argmax`` (key, score), bit for bit.
 
     NMI bins each candidate and takes its marginal entropy once, so a pair
     costs one joint bincount. PCC keeps each candidate's centred pixels and
-    variance, screens every candidate with one matrix-vector product and
-    re-scores through ``_argmax`` only those the screen cannot rule out.
-    RBF runs the scalar loop.
+    mean square, screens a whole batch of queries with one matrix product and
+    re-scores, from those cached rows, only the candidates the screen cannot
+    rule out. RBF runs the scalar loop.
     """
 
     def __init__(self, candidates, cfg: MatchConfig):
@@ -199,47 +199,64 @@ class _Candidates:
             self.entropies = [_code_entropy(c) for c in self.codes]
         elif cfg.metric is SimilarityKind.PCC:
             self.d = np.empty((len(self.images), self.images[0].size))
-            vy = np.empty(len(self.images))
+            self.v = np.empty(len(self.images))
             for k, img in enumerate(self.images):
-                self.d[k], vy[k] = _centred(img)
-            self.flat = vy == 0.0  # pcc raises ZeroVarianceError: the pair scores -1
-            self.sy = np.sqrt(np.where(self.flat, 1.0, vy))
+                self.d[k], self.v[k] = _centred(img)
+            self.flat = self.v == 0.0  # pcc raises ZeroVarianceError: the pair scores -1
+            self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
             self.screenable = all(map(_screenable, self.d))  # row by row: no stack-sized copy
 
     def best(self, query: np.ndarray):
-        query = require_image(query)  # __init__ validated every candidate
-        if query.shape != self.images[0].shape:
-            raise ValueError(f"dimension mismatch: {query.shape} vs {self.images[0].shape}")
+        return self.best_many([query])[0]
+
+    def best_many(self, queries):
+        queries = list(map(require_image, queries))  # __init__ validated every candidate
+        for query in queries:
+            if query.shape != self.images[0].shape:
+                raise ValueError(f"dimension mismatch: {query.shape} vs {self.images[0].shape}")
+        if self.cfg.metric is SimilarityKind.PCC:
+            return self._best_pcc(queries)
+        return [self._best_one(query) for query in queries]
+
+    def _best_one(self, query: np.ndarray):
         if self.cfg.metric is SimilarityKind.NMI:
             bx = _codes(query, self.cfg.hist)
             hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
             scores = np.array([_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)])
             k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
             return self.keys[k], float(scores[k])
-        if self.cfg.metric is SimilarityKind.PCC:
-            dx, vx = _centred(query)
-            if vx == 0.0:
-                return self.keys[0], -1.0  # every pair raises ZeroVarianceError and scores -1
-            if self.screenable and _screenable(dx):
-                # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's
-                # pairwise mean of dx * dy; the screen's is a BLAS dot, in any order
-                # and perhaps with FMA. Each sum is within P u / (1 - P u) times
-                # sum |dx_i dy_i| of the exact one, and Cauchy-Schwarz bounds that
-                # sum by P sqrt(vx vy), up to 1 + O(P u) from rounding vx and vy. So
-                # the cross terms differ by about P eps in r units; the divisions by
-                # P and by sqrt(vx) sqrt(vy) add two roundings per side (2 eps), and
-                # clamping to [-1, 1] does not widen the gap. Each screened score is
-                # thus within delta = (P + 4) eps of pcc's, with room for the O(P u)
-                # factors, while no product underflows or overflows (_screenable).
-                # An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
-                # s~_j - 2 delta for the screen's best j, so re-scoring, in key order,
-                # every candidate within 2 delta of the screen's best gives _argmax's
-                # key and score.
-                s = np.clip((self.d @ dx) / dx.size / (math.sqrt(vx) * self.sy), -1.0, 1.0)
-                s[self.flat] = -1.0
-                band = np.flatnonzero(s >= s.max() - 2.0 * (dx.size + 4) * np.finfo(np.float64).eps)
-                return _argmax(query, [(self.keys[k], self.images[k]) for k in band], self.cfg)
         return _argmax(query, zip(self.keys, self.images), self.cfg)
+
+    def _best_pcc(self, queries):
+        results, centred, screened = [None] * len(queries), [_centred(q) for q in queries], []
+        for i, (dx, vx) in enumerate(centred):
+            if vx == 0.0:
+                results[i] = self.keys[0], -1.0  # every pair raises ZeroVarianceError and scores -1
+            elif self.screenable and _screenable(dx):
+                screened.append(i)
+            else:
+                results[i] = self._best_one(queries[i])
+        if not screened:
+            return results
+        # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's pairwise mean of dx * dy; the
+        # screen's is one entry of a BLAS matrix product, a dot in some order and perhaps with FMA. Each
+        # sum is within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds
+        # by P sqrt(vx vy) up to 1 + O(P u) from rounding vx and vy: about P eps in r units. Dividing by P
+        # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
+        # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
+        # or overflows (_screenable). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
+        # s~_j - 2 delta for the screen's best j, so re-scoring, in key order, every candidate within
+        # 2 delta of the screen's best gives _argmax's key and score.
+        p = self.d.shape[1]
+        dxs = np.stack([centred[i][0] for i in screened], axis=1)  # (P, queries): one GEMM screens them all
+        s = np.clip((self.d @ dxs) / p / (self.sy[:, None] * np.sqrt([centred[i][1] for i in screened])), -1.0, 1.0)
+        s[self.flat] = -1.0
+        for j, i in enumerate(screened):
+            band = np.flatnonzero(s[:, j] >= s[:, j].max() - 2.0 * (p + 4) * np.finfo(np.float64).eps)
+            scores = [-1.0 if self.flat[k] else _pcc_centred(*centred[i], self.d[k], self.v[k]) for k in band]
+            k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
+            results[i] = self.keys[band[k]], scores[k]
+        return results
 
 
 def _mean_image(vol: Volume) -> np.ndarray:
@@ -288,12 +305,11 @@ def match_patch(
 
 def _patch_records(lr_vol: Volume, s_idx: int, windows: _Candidates, grid, cfg: MatchConfig):
     """One record per grid patch of LR slice s_idx, matched to its best HR window."""
-    size = cfg.patch_size
-    records = []
-    for (r, c), patch in _windows(lr_vol.data[s_idx], grid, size):
-        ref, best = windows.best(patch)
-        records.append(MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, size), ref, to_weight(cfg.metric, best)))
-    return records
+    patches = _windows(lr_vol.data[s_idx], grid, cfg.patch_size)
+    return [
+        MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, cfg.patch_size), ref, to_weight(cfg.metric, best))
+        for ((r, c), _), (ref, best) in zip(patches, windows.best_many(patch for _, patch in patches))
+    ]
 
 
 def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
@@ -312,12 +328,7 @@ def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
 
 
 def _manifest(records, cfg, lr_set, hr_set) -> Manifest:
-    return Manifest(
-        records=records,
-        config=cfg,
-        lr_fingerprint=dataset_fingerprint(lr_set),
-        hr_fingerprint=dataset_fingerprint(hr_set),
-    )
+    return Manifest(records, cfg, dataset_fingerprint(lr_set), dataset_fingerprint(hr_set))
 
 
 def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
@@ -330,16 +341,15 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
     grid = patch_grid(h, w, size, cfg.stride)
     # each level's candidates are prepared for the queries that use them, then dropped
     if cfg.levels is MatchLevels.HIERARCHICAL:
-        patients = _patients(hr_set, cfg)
+        patients = _patients(hr_set, cfg).best_many(_mean_image(v) for v in lr_set.volumes)
     else:  # SLICE_AND_PATCH: best slice across every HR patient
         slices = _Candidates([s for v in hr_set.volumes for s in _slices(v)], cfg)
 
     records = []
-    for lr_vol in lr_set.volumes:
+    for i, lr_vol in enumerate(lr_set.volumes):
         if cfg.levels is MatchLevels.HIERARCHICAL:
-            slices = _Candidates(_slices(hr_set.volume(patients.best(_mean_image(lr_vol))[0])), cfg)
-        for s_idx, lr_slice in enumerate(lr_vol.data):
-            (h_pid, h_idx), _ = slices.best(lr_slice)
+            slices = _Candidates(_slices(hr_set.volume(patients[i][0])), cfg)
+        for s_idx, ((h_pid, h_idx), _) in enumerate(slices.best_many(lr_vol.data)):
             windows = _Candidates(_hr_windows(h_pid, h_idx, hr_set.volume(h_pid).data[h_idx], grid, size), cfg)
             records += _patch_records(lr_vol, s_idx, windows, grid, cfg)
     return _manifest(records, cfg, lr_set, hr_set)

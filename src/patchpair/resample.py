@@ -80,7 +80,7 @@ def _taps(src: np.ndarray, n: int):
     for k, s in ((0, 1.0 + t), (3, 2.0 - t)):
         w[k] = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
     idx = base.astype(np.int64) + np.arange(-1, 3)[:, None]
-    return np.clip(idx, 0, n - 1, out=idx), w
+    return np.minimum(np.maximum(idx, 0, out=idx), n - 1, out=idx), w  # np.clip's integers, without its wrapper
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:

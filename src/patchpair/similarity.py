@@ -62,7 +62,7 @@ def _codes(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     scaled = (np.asarray(img, dtype=np.float64).ravel() - lo) * (spec.bins / (hi - lo))
     idx = np.floor(scaled).astype(np.int64)
     # out-of-range values land in the edge bins
-    return np.clip(idx, 0, spec.bins - 1)
+    return np.minimum(np.maximum(idx, 0, out=idx), spec.bins - 1, out=idx)  # np.clip's integers, without its wrapper
 
 
 def joint_histogram(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> np.ndarray:
@@ -150,6 +150,11 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
     (dx, vx), (dy, vy) = _centred(x), _centred(y)
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
+    return _pcc_centred(dx, vx, dy, vy)
+
+
+def _pcc_centred(dx: np.ndarray, vx: float, dy: np.ndarray, vy: float) -> float:
+    """pcc from two images' ``_centred`` deviations and nonzero mean squares."""
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
     return min(max(r, -1.0), 1.0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -148,10 +149,10 @@ class TestMatchPatch:
 
 
 @st.composite
-def query_and_candidates(draw):
+def query_and_candidates(draw, batch=False):
     """A query and candidate images with the cases a prepared set must get right:
     constant images, duplicates, affine copies (PCC ties up to rounding), 1-ulp
-    neighbours and tiny magnitudes."""
+    neighbours and tiny magnitudes. With ``batch``, a list of 1-12 queries."""
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     pixels = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
     image = hnp.arrays(np.float64, shape, elements=pixels)
@@ -167,15 +168,22 @@ def query_and_candidates(draw):
             i = draw(st.integers(0, img.size - 1))
             img.flat[i] = np.nextafter(img.flat[i], draw(st.sampled_from([-1.0, 2.0])))
         images.insert(draw(st.integers(0, len(images))), img)
-    query = draw(st.one_of(image, st.sampled_from(images).map(np.copy)))
+    query = st.one_of(image, st.sampled_from(images).map(np.copy))
+    queries = draw(st.lists(query, min_size=1, max_size=12)) if batch else [draw(query)]
     # at 1e-160 the products of deviations underflow, which the PCC screen must not trust
     scale = draw(st.sampled_from([1.0, 1e-3, 1e-160]))
-    return query * scale, [img * scale for img in images]
+    queries = [q * scale for q in queries]
+    return queries if batch else queries[0], [img * scale for img in images]
 
 
 # Two equal candidates that a BLAS matrix-vector product may score 1 ulp apart
 # (seen with OpenBLAS: rows at different offsets); the re-score must pick the first.
 _TWIN = np.array([[0.0, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5]]) * 1e-3
+
+
+def result_bits(results):
+    """(key, score) pairs with each score as its exact bits, so -0.0 and 0.0 differ."""
+    return [(key, float(score).hex()) for key, score in results]
 
 
 class TestPreparedCandidates:
@@ -190,6 +198,43 @@ class TestPreparedCandidates:
         candidates = list(enumerate(images))
         assert _Candidates(candidates, cfg).best(query) == _argmax(query, candidates, cfg)
 
+    @given(query_and_candidates(batch=True), st.sampled_from(list(SimilarityKind)), st.integers(2, 16))
+    @example(([_TWIN, _TWIN[::-1].copy(), _TWIN.copy(), -_TWIN], [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2)
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_scalar_argmax_bit_for_bit(self, case, metric, bins):
+        queries, images = case
+        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins))
+        candidates = list(enumerate(images))
+        expected = [_argmax(q, candidates, cfg) for q in queries]
+        assert result_bits(_Candidates(candidates, cfg).best_many(queries)) == result_bits(expected)
+
+    @pytest.mark.parametrize("metric", list(SimilarityKind))
+    def test_batch_mixing_flat_unscreenable_and_normal_queries(self, rng, metric):
+        images = [rng.random((6, 5)) for _ in range(7)]
+        images[2][...] = 0.25  # a flat candidate scores -1 under PCC
+        images[5] = images[3].copy()  # a tie, settled by the smaller key
+        queries = [
+            images[3].copy(),
+            np.full((6, 5), 0.5),  # flat query: every PCC pair scores -1, so the first key wins
+            rng.random((6, 5)) * 1e-160,  # its deviations underflow in products: PCC's scalar fallback
+            rng.random((6, 5)),
+            np.zeros((6, 5)),
+            images[0] * 1e-160,
+        ]
+        cfg = MatchConfig(metric=metric)
+        candidates = list(enumerate(images))
+        got = _Candidates(candidates, cfg).best_many(queries)
+        assert result_bits(got) == result_bits([_argmax(q, candidates, cfg) for q in queries])
+        assert got[0][0] == 3
+        if metric is SimilarityKind.PCC:
+            assert got[1] == got[4] == (0, -1.0)
+
+    @pytest.mark.parametrize("metric", list(SimilarityKind))
+    def test_wrong_shaped_query_mid_batch_refused(self, metric):
+        prepared = _Candidates(enumerate([np.zeros((4, 4)), np.eye(4)]), MatchConfig(metric=metric))
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(4, 5\) vs \(4, 4\)"):
+            prepared.best_many([np.eye(4), np.ones((4, 5)), np.eye(4)])
+
     @pytest.mark.parametrize("metric", list(SimilarityKind))
     def test_wrong_shaped_candidate_refused(self, metric):
         images = [np.zeros((4, 4)), np.ones((4, 4)), np.zeros((4, 5))]
@@ -203,6 +248,21 @@ class TestPreparedCandidates:
         images[position][1, 2] = np.nan
         with pytest.raises(ValueError, match="image contains non-finite values"):
             _Candidates(enumerate(images), MatchConfig(metric=metric))
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_digest_equals_c_order_little_endian_bytes(self, rng, layout):
+        data = rng.random((3, 5, 7)).astype(np.float32)
+        data = {"C": data, "F": np.asfortranarray(data), "transposed": data.transpose(0, 2, 1)}[layout]
+        ds = Dataset("HR", (Volume("b", data), Volume("a", data[::-1])))
+        assert ds.volumes[1].data.flags.c_contiguous == (layout == "C")  # the layout reaches the volume
+        h = hashlib.sha256(b"HR")
+        for v in ds.volumes:  # the digest as first defined: two payload copies per volume
+            h.update(v.patient_id.encode())
+            h.update(np.int64(v.data.shape).tobytes())
+            h.update(v.data.astype("<f4").tobytes())
+        assert dataset_fingerprint(ds) == "sha256:" + h.hexdigest()
 
 
 class TestHierarchical:

@@ -20,7 +20,7 @@ from patchpair import (
     similarity,
     to_weight,
 )
-from patchpair.similarity import _TABLE_MAX_N, _count_entropy, _plogp_table
+from patchpair.similarity import _TABLE_MAX_N, _codes, _count_entropy, _plogp_table
 from .oracles import mi_double_loop
 
 SPEC2 = HistogramSpec(bins=2)
@@ -326,6 +326,13 @@ class TestCountTable:
         _plogp_table.cache_clear()
         assert mutual_information(np.array([[2**40, 0], [0, 2**40]])) == math.log(2)
         assert _plogp_table.cache_info().misses == 0
+
+    @pytest.mark.parametrize("spec", [HistogramSpec(), HistogramSpec(bins=7, value_range=(-1.0, 2.5))])
+    def test_codes_clamp_out_of_range_pixels_like_np_clip(self, spec):
+        img = np.array([[-1e6, -5.0, -1.0 - 1e-9, -1e-9, 0.0], [0.5, 1.0, 1.0 + 1e-9, 2.5, 1e6]])
+        codes = _codes(img, spec)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, reference_codes(img, spec))
 
     @given(image_pairs())
     @settings(max_examples=150, deadline=None)
