@@ -4,13 +4,11 @@ from .imgvol import (
     Dataset,
     PatchRef,
     Volume,
-    extract_patch,
     load_dataset,
     load_volume,
     normalize_volume,
     save_dataset,
     save_volume,
-    write_pgm,
 )
 from .losses import (
     AdvKind,

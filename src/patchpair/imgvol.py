@@ -115,17 +115,6 @@ class PatchRef:
             raise ValueError(f"invalid patch reference {self}")
 
 
-def extract_patch(img: np.ndarray, ref: PatchRef) -> np.ndarray:
-    """Copy the ``ref.size`` x ``ref.size`` window at (ref.row, ref.col)."""
-    arr = require_image(img)
-    h, w = arr.shape
-    if ref.row + ref.size > h or ref.col + ref.size > w:
-        raise ValueError(
-            f"patch ({ref.row},{ref.col},size={ref.size}) out of bounds for {h}x{w} image"
-        )
-    return arr[ref.row : ref.row + ref.size, ref.col : ref.col + ref.size].copy()
-
-
 def normalize_volume(v: Volume) -> Volume:
     """Affine min-max rescale of the whole volume to [0, 1]; constant volumes map to zeros."""
     lo = float(v.data.min())
@@ -203,10 +192,3 @@ def save_dataset(ds: Dataset, dir_path) -> None:
     for v in ds.volumes:
         save_volume(v, dir_path / f"{v.patient_id}.vol")
 
-
-def write_pgm(img: np.ndarray, path) -> None:
-    """Export one slice as 16-bit binary PGM, mapping [0, 1] linearly onto [0, 65535]."""
-    arr = require_image(img)
-    q = np.round(np.clip(arr, 0.0, 1.0) * 65535.0).astype(">u2")
-    h, w = arr.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n65535\n".encode("ascii") + q.tobytes())

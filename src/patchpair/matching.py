@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .imgvol import Dataset, PatchRef, Volume, require_image
+from .losses import _REDUCE_BLOCK
 from .similarity import (
     HistogramSpec,
     RbfParams,
     SimilarityKind,
     ZeroVarianceError,
-    _centred,
     _code_entropy,
     _codes,
     _nmi,
@@ -169,11 +169,26 @@ def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
     return best_key, best
 
 
-def _screenable(d: np.ndarray) -> bool:
-    """Whether every nonzero |d| lies in [2**-400, 2**400], so that no product
-    of two deviations underflows or overflows and the screen's bound holds."""
-    a = np.abs(d[d != 0.0])
-    return a.size == 0 or (a.min() >= 2.0**-400 and a.max() <= 2.0**400)
+def _centred_rows(images):
+    """(d, v, screenable) of equally shaped images: row k of the (n, P) float64 stack d and v[k] are
+    ``_centred(images[k])``, bit for bit, and screenable[k] says whether every nonzero |d[k]| lies in
+    [2**-400, 2**400], so that no product of two deviations underflows or overflows and the screen's
+    bound holds. Rows go through in blocks of about _REDUCE_BLOCK elements, so each temporary is one
+    block; a row's mean and mean square are numpy's pairwise sums over the contiguous row, as in _centred."""
+    d = np.array(images, dtype=np.float64).reshape(len(images), -1)
+    n, p = d.shape
+    v, screenable = np.empty(n), np.empty(n, dtype=bool)
+    k = max(1, _REDUCE_BLOCK // p)
+    buf = np.empty((min(k, n), p))
+    for lo in range(0, n, k):
+        b = d[lo : lo + k]
+        b -= b.mean(axis=1)[:, None]
+        a = np.multiply(b, b, out=buf[: len(b)])
+        v[lo : lo + k] = a.mean(axis=1)
+        a = np.abs(b, out=a)
+        a[a == 0.0] = 1.0  # a zero deviation is exact in every product
+        screenable[lo : lo + k] = (a.min(axis=1) >= 2.0**-400) & (a.max(axis=1) <= 2.0**400)
+    return d, v, screenable
 
 
 class _Candidates:
@@ -198,13 +213,10 @@ class _Candidates:
             self.codes = [_codes(img, cfg.hist) for img in self.images]
             self.entropies = [_code_entropy(c) for c in self.codes]
         elif cfg.metric is SimilarityKind.PCC:
-            self.d = np.empty((len(self.images), self.images[0].size))
-            self.v = np.empty(len(self.images))
-            for k, img in enumerate(self.images):
-                self.d[k], self.v[k] = _centred(img)
+            self.d, self.v, screenable = _centred_rows(self.images)
             self.flat = self.v == 0.0  # pcc raises ZeroVarianceError: the pair scores -1
             self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
-            self.screenable = all(map(_screenable, self.d))  # row by row: no stack-sized copy
+            self.screenable = bool(screenable.all())
 
     def best(self, query: np.ndarray):
         return self.best_many([query])[0]
@@ -215,7 +227,8 @@ class _Candidates:
             if query.shape != self.images[0].shape:
                 raise ValueError(f"dimension mismatch: {query.shape} vs {self.images[0].shape}")
         if self.cfg.metric is SimilarityKind.PCC:
-            return self._best_pcc(queries)
+            cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
+            return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
         return [self._best_one(query) for query in queries]
 
     def _best_one(self, query: np.ndarray):
@@ -228,11 +241,11 @@ class _Candidates:
         return _argmax(query, zip(self.keys, self.images), self.cfg)
 
     def _best_pcc(self, queries):
-        results, centred, screened = [None] * len(queries), [_centred(q) for q in queries], []
-        for i, (dx, vx) in enumerate(centred):
-            if vx == 0.0:
+        (dq, vq, screenable), results, screened = _centred_rows(queries), [None] * len(queries), []
+        for i in range(len(queries)):
+            if vq[i] == 0.0:
                 results[i] = self.keys[0], -1.0  # every pair raises ZeroVarianceError and scores -1
-            elif self.screenable and _screenable(dx):
+            elif self.screenable and screenable[i]:
                 screened.append(i)
             else:
                 results[i] = self._best_one(queries[i])
@@ -244,16 +257,15 @@ class _Candidates:
         # by P sqrt(vx vy) up to 1 + O(P u) from rounding vx and vy: about P eps in r units. Dividing by P
         # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
         # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
-        # or overflows (_screenable). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
+        # or overflows (_centred_rows). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
         # s~_j - 2 delta for the screen's best j, so re-scoring, in key order, every candidate within
         # 2 delta of the screen's best gives _argmax's key and score.
-        p = self.d.shape[1]
-        dxs = np.stack([centred[i][0] for i in screened], axis=1)  # (P, queries): one GEMM screens them all
-        s = np.clip((self.d @ dxs) / p / (self.sy[:, None] * np.sqrt([centred[i][1] for i in screened])), -1.0, 1.0)
+        p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
+        s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
         s[self.flat] = -1.0
         for j, i in enumerate(screened):
             band = np.flatnonzero(s[:, j] >= s[:, j].max() - 2.0 * (p + 4) * np.finfo(np.float64).eps)
-            scores = [-1.0 if self.flat[k] else _pcc_centred(*centred[i], self.d[k], self.v[k]) for k in band]
+            scores = [-1.0 if self.flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
             k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
             results[i] = self.keys[band[k]], scores[k]
         return results
@@ -303,12 +315,12 @@ def match_patch(
     return ref, to_weight(cfg.metric, best)
 
 
-def _patch_records(lr_vol: Volume, s_idx: int, windows: _Candidates, grid, cfg: MatchConfig):
-    """One record per grid patch of LR slice s_idx, matched to its best HR window."""
-    patches = _windows(lr_vol.data[s_idx], grid, cfg.patch_size)
+def _patch_records(lr_vol: Volume, slices, windows: _Candidates, grid, cfg: MatchConfig):
+    """One record per grid patch of each of lr_vol's slices, matched to its best HR window."""
+    patches = [(s, r, c, patch) for s in slices for (r, c), patch in _windows(lr_vol.data[s], grid, cfg.patch_size)]
     return [
-        MatchRecord(PatchRef(lr_vol.patient_id, s_idx, r, c, cfg.patch_size), ref, to_weight(cfg.metric, best))
-        for ((r, c), _), (ref, best) in zip(patches, windows.best_many(patch for _, patch in patches))
+        MatchRecord(PatchRef(lr_vol.patient_id, s, r, c, cfg.patch_size), ref, to_weight(cfg.metric, best))
+        for (s, r, c, _), (ref, best) in zip(patches, windows.best_many(patch for *_, patch in patches))
     ]
 
 
@@ -351,7 +363,7 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
             slices = _Candidates(_slices(hr_set.volume(patients[i][0])), cfg)
         for s_idx, ((h_pid, h_idx), _) in enumerate(slices.best_many(lr_vol.data)):
             windows = _Candidates(_hr_windows(h_pid, h_idx, hr_set.volume(h_pid).data[h_idx], grid, size), cfg)
-            records += _patch_records(lr_vol, s_idx, windows, grid, cfg)
+            records += _patch_records(lr_vol, [s_idx], windows, grid, cfg)
     return _manifest(records, cfg, lr_set, hr_set)
 
 
@@ -366,9 +378,8 @@ def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Mani
         cfg,
     )
     records = []
-    for lr_vol in lr_set.volumes:
-        for s_idx in range(lr_vol.n_slices):
-            records += _patch_records(lr_vol, s_idx, hr_windows, grid, cfg)
+    for lr_vol in lr_set.volumes:  # one batch of queries per LR volume
+        records += _patch_records(lr_vol, range(lr_vol.n_slices), hr_windows, grid, cfg)
     return _manifest(records, cfg, lr_set, hr_set)
 
 
@@ -396,7 +407,10 @@ _REF_KEYS = {"patient_id": "patient", "slice_index": "slice", "row": "row", "col
 
 
 def _ref_to_json(ref: PatchRef) -> str:
-    return json.dumps({key: getattr(ref, field) for field, key in _REF_KEYS.items()})
+    """json.dumps of the ref's _REF_KEYS object, for a str patient id and int fields, without the dict."""
+    return '{"patient": %s, "slice": %d, "row": %d, "col": %d, "size": %d}' % (
+        json.dumps(ref.patient_id), ref.slice_index, ref.row, ref.col, ref.size
+    )
 
 
 def _ref_from_obj(obj: dict) -> PatchRef:

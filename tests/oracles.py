@@ -5,12 +5,14 @@ shared code paths with the library internals being verified.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 
 from patchpair import AdvKind, LossBatch, LossWeights, total_loss
 from patchpair.losses import IMAGE_ROLES, LossBreakdown, LossGradients
+from patchpair.matching import _REF_KEYS
 from patchpair.similarity import ZeroVarianceError, similarity, to_weight
 
 
@@ -101,6 +103,18 @@ def manifest_tuples(manifest):
          (r.hr.patient_id, r.hr.slice_index, r.hr.row, r.hr.col), r.weight)
         for r in manifest.records
     ]
+
+
+def ref_to_json_dict(ref):
+    """A manifest ref as first serialized: json.dumps of a dict built per ref."""
+    return json.dumps({key: getattr(ref, field) for field, key in _REF_KEYS.items()})
+
+
+def screenable(d: np.ndarray) -> bool:
+    """Whether every nonzero |d| lies in [2**-400, 2**400], so that no product
+    of two deviations underflows or overflows and the screen's bound holds."""
+    a = np.abs(d[d != 0.0])
+    return a.size == 0 or (a.min() >= 2.0**-400 and a.max() <= 2.0**400)
 
 
 def principal_axis_angle(img):

@@ -3,15 +3,12 @@ import pytest
 
 from patchpair import (
     Dataset,
-    PatchRef,
     Volume,
-    extract_patch,
     load_dataset,
     load_volume,
     normalize_volume,
     save_dataset,
     save_volume,
-    write_pgm,
 )
 
 
@@ -164,41 +161,9 @@ def test_normalize_range_property(rng):
     assert float(out.max()) == 1.0
 
 
-def test_extract_patch(rng):
-    img = rng.random((256, 256))
-    full = extract_patch(img, PatchRef("p", 0, 0, 0, 256))
-    assert np.array_equal(full, img)
-    window = extract_patch(img, PatchRef("p", 0, 64, 64, 128))
-    assert np.array_equal(window, img[64:192, 64:192])
-    with pytest.raises(ValueError, match="out of bounds"):
-        extract_patch(img, PatchRef("p", 0, 200, 200, 128))
-
-
-def test_extract_patch_indexing(rng):
-    img = rng.random((20, 30))
-    ref = PatchRef("p", 0, 3, 11, 7)
-    patch = extract_patch(img, ref)
-    for i in range(7):
-        for j in range(7):
-            assert patch[i, j] == img[ref.row + i, ref.col + j]
-
-
 def test_dataset_dir_roundtrip(tmp_path, small_dataset):
     save_dataset(small_dataset, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds", "HR")
     assert loaded == small_dataset
     with pytest.raises(ValueError, match="no .*vol"):
         load_dataset(tmp_path, "HR")
-
-
-def test_write_pgm(tmp_path):
-    img = np.array([[0.0, 0.5], [1.0, 2.0]])  # 2.0 clips to the white point
-    write_pgm(img, tmp_path / "s.pgm")
-    raw = (tmp_path / "s.pgm").read_bytes()
-    header = b"P5\n2 2\n65535\n"
-    assert raw.startswith(header)
-    pixels = np.frombuffer(raw[len(header):], dtype=">u2").reshape(2, 2)
-    assert pixels[0, 0] == 0
-    assert pixels[0, 1] == round(0.5 * 65535)
-    assert pixels[1, 0] == 65535
-    assert pixels[1, 1] == 65535

@@ -34,8 +34,16 @@ from patchpair import (
     weight_stats,
     write_manifest,
 )
-from patchpair.matching import FingerprintMismatchWarning, _argmax, _Candidates, manifest_to_bytes
-from .oracles import manifest_tuples, triple_loop_exhaustive
+from patchpair.matching import (
+    FingerprintMismatchWarning,
+    _argmax,
+    _Candidates,
+    _centred_rows,
+    _ref_to_json,
+    manifest_to_bytes,
+)
+from patchpair.similarity import _centred
+from .oracles import manifest_tuples, ref_to_json_dict, screenable, triple_loop_exhaustive
 
 SMALL_CFG = MatchConfig(patch_size=16, stride=16, hist=HistogramSpec(bins=16))
 
@@ -229,6 +237,18 @@ class TestPreparedCandidates:
         if metric is SimilarityKind.PCC:
             assert got[1] == got[4] == (0, -1.0)
 
+    def test_pcc_batch_over_cap_mixing_flat_and_unscreenable_queries(self, rng):
+        images = [rng.random((4, 4)) for _ in range(20)]  # cap min(20, 16): 40 queries take 3 products
+        images[4][...] = 0.75
+        queries = [rng.random((4, 4)) * rng.choice([1.0, 1e-160]) for _ in range(40)]
+        queries[7] = np.full((4, 4), 0.5)
+        queries[30] = images[9] * 1e-160
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        candidates = list(enumerate(images))
+        got = _Candidates(candidates, cfg).best_many(queries)
+        assert result_bits(got) == result_bits([_argmax(q, candidates, cfg) for q in queries])
+        assert got[7] == (0, -1.0) and got[30][0] == 9
+
     @pytest.mark.parametrize("metric", list(SimilarityKind))
     def test_wrong_shaped_query_mid_batch_refused(self, metric):
         prepared = _Candidates(enumerate([np.zeros((4, 4)), np.eye(4)]), MatchConfig(metric=metric))
@@ -248,6 +268,40 @@ class TestPreparedCandidates:
         images[position][1, 2] = np.nan
         with pytest.raises(ValueError, match="image contains non-finite values"):
             _Candidates(enumerate(images), MatchConfig(metric=metric))
+
+
+@st.composite
+def image_stacks(draw):
+    """1-6 equally shaped float32 or float64 images: rows of 1 px, of 16,384 px (a 256-px
+    match's patch), of 65,536 px (more than one block) or small; random, flat, sparse or
+    mixed-magnitude rows at scales down to 2**-401, where products of deviations underflow."""
+    shape = draw(st.one_of(st.sampled_from([(1, 1), (128, 128), (256, 256)]), st.tuples(st.integers(1, 24), st.integers(1, 24))))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for kind in draw(st.lists(st.sampled_from(["random", "flat", "sparse", "mixed"]), min_size=1, max_size=6)):
+        img = rng.random(shape) * draw(st.sampled_from([1.0, 1e3, 1e-160, 2.0**-401]))
+        if kind == "flat":
+            img[...] = img.flat[0]
+        elif kind == "sparse":
+            img[rng.random(shape) < 0.9] = 0.0
+        elif kind == "mixed":
+            img[rng.random(shape) < 0.5] *= 2.0**-401
+        images.append(img.astype(dtype))
+    return images
+
+
+class TestCentredRows:
+    @given(image_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_centred_and_mask_equals_screenable(self, images):
+        d, v, mask = _centred_rows(images)
+        assert d.shape == (len(images), images[0].size) and d.dtype == np.float64
+        for k, img in enumerate(images):
+            dk, vk = _centred(img)
+            assert np.array_equal(d[k].view(np.int64), dk.view(np.int64))
+            assert float(v[k]).hex() == vk.hex()
+            assert mask[k] == screenable(dk)
 
 
 class TestFingerprint:
@@ -373,6 +427,37 @@ class TestExhaustive:
         m = match_exhaustive(small_dataset, small_dataset, cfg)
         assert all(r.weight == 1.0 for r in m.records)
 
+    def test_pcc_volume_batches_with_blank_and_tiny_slices_equal_oracle(self, rng):
+        # float32 volumes never reach PCC's scalar fallback (their products of deviations stay in
+        # float64 range), so the tiny volume here is subnormal float32 and the 1e-160 case is
+        # TestPreparedCandidates's; a blank LR slice is a batch's flat queries
+        a, b, c = (rng.random((2, 12, 12)) for _ in range(3))
+        a[1] = 0.0
+        hr_a, hr_b = rng.random((2, 12, 12)), rng.random((2, 12, 12))
+        hr_a[1] = 0.0  # a flat HR slice: its windows score -1
+        hr_b[0] = c[0]  # an LR slice found verbatim
+        lr = Dataset("LR", (Volume("A", a), Volume("B", b * 2.0**-140), Volume("C", c)))
+        hr = Dataset("HR", (Volume("P", hr_a), Volume("Q", hr_b)))
+        cfg = MatchConfig(patch_size=6, stride=3, metric=SimilarityKind.PCC)
+        m = match_exhaustive(lr, hr, cfg)
+        assert manifest_tuples(m) == triple_loop_exhaustive(lr, hr, cfg)
+        assert all(r.weight == 0.0 for r in m.records if (r.lr.patient_id, r.lr.slice_index) == ("A", 1))
+        assert all(r.weight > 1.0 - 1e-12 for r in m.records if (r.lr.patient_id, r.lr.slice_index) == ("C", 0))
+
+    def test_pcc_batch_larger_than_cap_is_split_and_equals_oracle(self, rng, monkeypatch):
+        hr_data = rng.random((2, 12, 12))
+        hr_data[1] = hr_data[0]  # ties across slices go to the smaller slice
+        hr = Dataset("HR", (Volume("P", hr_data), Volume("R", rng.random((1, 12, 12)))))
+        lr_data = rng.random((2, 12, 12))
+        lr_data[1, :6] = 0.5  # flat patches inside a batch
+        lr = Dataset("LR", (Volume("A", lr_data), Volume("B", hr_data[:1])))
+        cfg = MatchConfig(patch_size=4, stride=2, metric=SimilarityKind.PCC)  # 25 patches of P = 16 px per slice
+        sizes, best_pcc = [], _Candidates._best_pcc
+        monkeypatch.setattr(_Candidates, "_best_pcc", lambda self, qs: sizes.append(len(qs)) or best_pcc(self, qs))
+        m = match_exhaustive(lr, hr, cfg)
+        assert sizes == [16, 16, 16, 2, 16, 9]  # 50 and 25 queries, at most min(75 candidates, 16 px) per product
+        assert manifest_tuples(m) == triple_loop_exhaustive(lr, hr, cfg)
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self):
@@ -454,6 +539,18 @@ class TestWeightStats:
 
 
 class TestManifestIO:
+    @given(
+        st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(['"', "\\", "\u00e9", "\x00\n\x1f", "\ud800"]),
+        st.integers(0, 2**70),
+        st.integers(0, 2**70),
+        st.integers(0, 2**70),
+        st.integers(1, 2**70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ref_json_equals_dict_dumps(self, patient, slice_index, row, col, size):
+        ref = PatchRef(patient, slice_index, row, col, size)
+        assert _ref_to_json(ref) == ref_to_json_dict(ref)
+
     def test_roundtrip(self, tmp_path):
         hr, lr = tiny_pair(seed=61)
         m = match_hierarchical(lr, hr, SMALL_CFG)
