@@ -37,9 +37,6 @@ from .matching import (
     filter_threshold,
     match_exhaustive,
     match_hierarchical,
-    match_patch,
-    match_patient,
-    match_slice,
     patch_grid,
     read_manifest,
     weight_stats,

@@ -26,6 +26,13 @@ def require_image(img: np.ndarray) -> np.ndarray:
     return arr
 
 
+def require_int(value, name: str) -> int:
+    """Validate a JSON integer field: an int, not a bool, a float or a string."""
+    if type(value) is not int:  # bool is a subclass of int; json gives 1.0 as float
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def require_pair(x: np.ndarray, y: np.ndarray):
     """Validate two images with ``require_image`` and check that their shapes agree."""
     x = require_image(x)
@@ -156,7 +163,7 @@ def load_volume(path) -> Volume:
         raise ValueError(f"unreadable sidecar header {hpath}: {e}") from e
     try:
         pid = header["patient_id"]
-        h, w, s = int(header["height"]), int(header["width"]), int(header["slices"])
+        h, w, s = (require_int(header[key], key) for key in ("height", "width", "slices"))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"contradictory or incomplete header {hpath}: {e}") from e
     if h < 1 or w < 1 or s < 1:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume, require_image
+from .imgvol import Dataset, PatchRef, Volume, require_int
 from .losses import _REDUCE_BLOCK
 from .similarity import (
     HistogramSpec,
@@ -78,10 +78,10 @@ class MatchConfig:
     @staticmethod
     def from_dict(d: dict) -> "MatchConfig":
         return MatchConfig(
-            patch_size=int(d["patch_size"]),
-            stride=int(d["stride"]),
+            patch_size=require_int(d["patch_size"], "patch_size"),
+            stride=require_int(d["stride"], "stride"),
             metric=SimilarityKind(d["metric"]),
-            hist=HistogramSpec(bins=int(d["bins"]), value_range=tuple(d["value_range"])),
+            hist=HistogramSpec(bins=require_int(d["bins"], "bins"), value_range=tuple(d["value_range"])),
             rbf=RbfParams(gamma=d["gamma"]),
             threshold=float(d["threshold"]),
             levels=MatchLevels(d["levels"]),
@@ -147,9 +147,10 @@ def _windows(img: np.ndarray, grid, size: int):
     return [((r, c), img[r : r + size, c : c + size]) for r, c in grid]
 
 
-def _hr_windows(patient_id: str, slice_index: int, img: np.ndarray, grid, size: int):
-    """(PatchRef, view) of each grid window of one HR slice."""
-    return [(PatchRef(patient_id, slice_index, r, c, size), win) for (r, c), win in _windows(img, grid, size)]
+def _hr_windows(hr_vol: Volume, slices, grid, size: int):
+    """(PatchRef, view) of each grid window of each of hr_vol's slices."""
+    pid = hr_vol.patient_id
+    return [(PatchRef(pid, i, r, c, size), win) for i in slices for (r, c), win in _windows(hr_vol.data[i], grid, size)]
 
 
 def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
@@ -200,14 +201,13 @@ class _Candidates:
     mean square, screens a whole batch of queries with one matrix product and
     re-scores, from those cached rows, only the candidates the screen cannot
     rule out. RBF runs the scalar loop.
+
+    Every image is a Volume's slice, a window of one or a mean image, so it is
+    finite and 2-D, and _validate_sets has made every shape the same.
     """
 
     def __init__(self, candidates, cfg: MatchConfig):
         self.keys, self.images = map(list, zip(*candidates))
-        shape = require_image(self.images[0]).shape
-        for img in self.images[1:]:
-            if require_image(img).shape != shape:
-                raise ValueError(f"dimension mismatch: {shape} vs {np.shape(img)}")
         self.cfg = cfg
         if cfg.metric is SimilarityKind.NMI:
             self.codes = [_codes(img, cfg.hist) for img in self.images]
@@ -218,14 +218,8 @@ class _Candidates:
             self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
             self.screenable = bool(screenable.all())
 
-    def best(self, query: np.ndarray):
-        return self.best_many([query])[0]
-
     def best_many(self, queries):
-        queries = list(map(require_image, queries))  # __init__ validated every candidate
-        for query in queries:
-            if query.shape != self.images[0].shape:
-                raise ValueError(f"dimension mismatch: {query.shape} vs {self.images[0].shape}")
+        queries = list(queries)
         if self.cfg.metric is SimilarityKind.PCC:
             cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
             return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
@@ -275,44 +269,8 @@ def _mean_image(vol: Volume) -> np.ndarray:
     return vol.data.mean(axis=0, dtype=np.float64)
 
 
-def _patients(hr_set: Dataset, cfg: MatchConfig) -> _Candidates:
-    return _Candidates([(v.patient_id, _mean_image(v)) for v in hr_set.volumes], cfg)
-
-
 def _slices(hr_vol: Volume):
     return [((hr_vol.patient_id, i), img) for i, img in enumerate(hr_vol.data)]
-
-
-def match_patient(lr_vol: Volume, hr_set: Dataset, cfg: MatchConfig) -> str:
-    """HR patient whose mean image (pixel-wise over slices) is most similar to
-    the LR volume's mean image; ties go to the smallest patient_id."""
-    return _patients(hr_set, cfg).best(_mean_image(lr_vol))[0]
-
-
-def match_slice(lr_slice: np.ndarray, hr_vol: Volume, cfg: MatchConfig) -> int:
-    """Index of the most similar slice in the HR volume; ties go to the smallest index."""
-    return _Candidates(enumerate(hr_vol.data), cfg).best(lr_slice)[0]
-
-
-def match_patch(
-    lr_patch: np.ndarray,
-    hr_slice: np.ndarray,
-    cfg: MatchConfig,
-    *,
-    patient_id: str = "",
-    slice_index: int = 0,
-):
-    """Best grid-position window of hr_slice for the query patch.
-
-    Returns (PatchRef, weight) with ties broken by smallest (row, col).
-    """
-    size = lr_patch.shape[0]
-    if lr_patch.shape[0] != lr_patch.shape[1]:
-        raise ValueError("query patch must be square")
-    h, w = hr_slice.shape
-    grid = patch_grid(h, w, size, cfg.stride)
-    ref, best = _Candidates(_hr_windows(patient_id, slice_index, hr_slice, grid, size), cfg).best(lr_patch)
-    return ref, to_weight(cfg.metric, best)
 
 
 def _patch_records(lr_vol: Volume, slices, windows: _Candidates, grid, cfg: MatchConfig):
@@ -339,48 +297,38 @@ def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
     return next(iter(dims))
 
 
-def _manifest(records, cfg, lr_set, hr_set) -> Manifest:
-    return Manifest(records, cfg, dataset_fingerprint(lr_set), dataset_fingerprint(hr_set))
-
-
 def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
     """Run the matching workflow at the configured levels and collect all
     pre-threshold records, sorted by LR patch reference."""
-    if cfg.levels is MatchLevels.PATCH_ONLY:
-        return match_exhaustive(lr_set, hr_set, cfg)
     h, w = _validate_sets(lr_set, hr_set, cfg)
     size = cfg.patch_size
     grid = patch_grid(h, w, size, cfg.stride)
     # each level's candidates are prepared for the queries that use them, then dropped
     if cfg.levels is MatchLevels.HIERARCHICAL:
-        patients = _patients(hr_set, cfg).best_many(_mean_image(v) for v in lr_set.volumes)
-    else:  # SLICE_AND_PATCH: best slice across every HR patient
+        hr_means = [(v.patient_id, _mean_image(v)) for v in hr_set.volumes]
+        patients = _Candidates(hr_means, cfg).best_many(_mean_image(v) for v in lr_set.volumes)
+    elif cfg.levels is MatchLevels.SLICE_AND_PATCH:  # best slice across every HR patient
         slices = _Candidates([s for v in hr_set.volumes for s in _slices(v)], cfg)
+    else:  # PATCH_ONLY: best window across every HR slice
+        windows = _Candidates([win for v in hr_set.volumes for win in _hr_windows(v, range(v.n_slices), grid, size)], cfg)
 
     records = []
     for i, lr_vol in enumerate(lr_set.volumes):
+        if cfg.levels is MatchLevels.PATCH_ONLY:  # one batch of queries per LR volume
+            records += _patch_records(lr_vol, range(lr_vol.n_slices), windows, grid, cfg)
+            continue
         if cfg.levels is MatchLevels.HIERARCHICAL:
             slices = _Candidates(_slices(hr_set.volume(patients[i][0])), cfg)
         for s_idx, ((h_pid, h_idx), _) in enumerate(slices.best_many(lr_vol.data)):
-            windows = _Candidates(_hr_windows(h_pid, h_idx, hr_set.volume(h_pid).data[h_idx], grid, size), cfg)
+            windows = _Candidates(_hr_windows(hr_set.volume(h_pid), [h_idx], grid, size), cfg)
             records += _patch_records(lr_vol, [s_idx], windows, grid, cfg)
-    return _manifest(records, cfg, lr_set, hr_set)
+    return Manifest(records, cfg, dataset_fingerprint(lr_set), dataset_fingerprint(hr_set))
 
 
 def match_exhaustive(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Manifest:
-    """Argmax over every HR patient, slice and grid position for each LR patch."""
-    cfg = dataclasses.replace(cfg, levels=MatchLevels.PATCH_ONLY)  # the header records the search run
-    h, w = _validate_sets(lr_set, hr_set, cfg)
-    size = cfg.patch_size
-    grid = patch_grid(h, w, size, cfg.stride)
-    hr_windows = _Candidates(
-        [win for v in hr_set.volumes for i, img in enumerate(v.data) for win in _hr_windows(v.patient_id, i, img, grid, size)],
-        cfg,
-    )
-    records = []
-    for lr_vol in lr_set.volumes:  # one batch of queries per LR volume
-        records += _patch_records(lr_vol, range(lr_vol.n_slices), hr_windows, grid, cfg)
-    return _manifest(records, cfg, lr_set, hr_set)
+    """Argmax over every HR patient, slice and grid position for each LR patch:
+    the patch-only level, which the manifest header records."""
+    return match_hierarchical(lr_set, hr_set, dataclasses.replace(cfg, levels=MatchLevels.PATCH_ONLY))
 
 
 def filter_threshold(m: Manifest, tau: float) -> Manifest:
@@ -414,8 +362,10 @@ def _ref_to_json(ref: PatchRef) -> str:
 
 
 def _ref_from_obj(obj: dict) -> PatchRef:
-    patient, *ints = (obj[key] for key in _REF_KEYS.values())
-    return PatchRef(patient, *map(int, ints))
+    patient, *int_keys = _REF_KEYS.values()
+    if not isinstance(obj[patient], str):
+        raise ValueError(f"{patient} must be a JSON string, got {obj[patient]!r}")
+    return PatchRef(obj[patient], *(require_int(obj[key], key) for key in int_keys))
 
 
 def manifest_to_bytes(m: Manifest) -> bytes:
@@ -470,11 +420,9 @@ def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = Non
     for n, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-            rec = MatchRecord(
-                lr=_ref_from_obj(obj["lr"]),
-                hr=_ref_from_obj(obj["hr"]),
-                weight=float(obj["weight"]),
-            )
+            if type(obj["weight"]) not in (int, float):  # the writer emits 1.0 and 0.0 as 1 and 0
+                raise ValueError(f"weight must be a JSON number, got {obj['weight']!r}")
+            rec = MatchRecord(lr=_ref_from_obj(obj["lr"]), hr=_ref_from_obj(obj["hr"]), weight=float(obj["weight"]))
             for side, ref in (("lr", rec.lr), ("hr", rec.hr)):
                 if ref.size != config.patch_size:
                     raise ValueError(f"{side} size {ref.size} differs from the header's patch_size {config.patch_size}")

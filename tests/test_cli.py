@@ -201,15 +201,18 @@ class TestStats:
         assert "no records" in err
 
 
-    @pytest.mark.parametrize("edit", ["swap", "repeat", "size"])
+    @pytest.mark.parametrize("edit", ["swap", "repeat", "size", "float-row"])
     def test_record_invariant_violation_is_data_error(self, manifest_path, tmp_path, capsys, edit):
         head, *records = manifest_path.read_text().splitlines()
         if edit == "swap":
             records[0], records[1] = records[1], records[0]
         elif edit == "repeat":
             records[1] = records[0]
-        else:
+        elif edit == "size":
             records[1] = records[1].replace('"size": 32}, "hr"', '"size": 17}, "hr"', 1)
+        else:  # a JSON float where an integer belongs
+            records[1] = records[1].replace('"row": 0,', '"row": 0.0,', 1)
+            assert '"row": 0.0,' in records[1]
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([head] + records) + "\n")
         code, out, err = run(capsys, "stats", "--manifest", str(path), "--csv", str(tmp_path / "h.csv"))

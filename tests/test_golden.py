@@ -3,14 +3,17 @@
 ``tests/golden/suite9.json`` holds ``[hr_patient, hr_slice, hr_row, hr_col, weight]``
 per record, in LR order, for the hierarchical and slice-patch levels on the
 acceptance suite's data; the refs must stay identical and the weights within
-1e-15. ``tests/golden/resample.json`` holds, per seeded 64-px phantom slice and
-per resampling output, ``[sum, sum of squares, ramp-weighted sum, min, max]``;
-each must stay within 1e-12 (relative above 1). Regenerate both (only from a
-commit whose outputs are the reference) with::
+1e-15. ``tests/golden/manifests.json`` holds the SHA-256 of ``manifest_to_bytes``
+for every metric at every level on a small seeded pair; those bytes must not
+change at all. ``tests/golden/resample.json`` holds, per seeded 64-px phantom
+slice and per resampling output, ``[sum, sum of squares, ramp-weighted sum, min,
+max]``; each must stay within 1e-12 (relative above 1). Regenerate all three
+(only from a commit whose outputs are the reference) with::
 
     PYTHONPATH=src python -m tests.test_golden
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,15 +26,18 @@ from patchpair import (
     MatchConfig,
     MatchLevels,
     PhantomSpec,
+    SimilarityKind,
     bicubic_resize,
     generate_dataset,
     generate_similar_pair,
     match_hierarchical,
     rotation_correct,
 )
+from patchpair.matching import manifest_to_bytes
 
 GOLDEN = Path(__file__).with_name("golden") / "suite9.json"
 GOLDEN_RESAMPLE = GOLDEN.with_name("resample.json")
+GOLDEN_MANIFESTS = GOLDEN.with_name("manifests.json")
 LEVELS = (MatchLevels.HIERARCHICAL, MatchLevels.SLICE_AND_PATCH)
 WEIGHT_TOL = 1e-15
 RESAMPLE_TOL = 1e-12
@@ -61,6 +67,23 @@ def test_suite9_manifest_matches_golden(levels):
     assert worst <= WEIGHT_TOL, f"max |dweight| = {worst!r}"
 
 
+def _manifest_digest(metric, levels):
+    hr, lr = generate_similar_pair(PhantomSpec(seed=919, patients=3, slices_per_patient=4, size=64), 0.25)
+    cfg = MatchConfig(patch_size=32, stride=16, metric=metric, levels=levels)
+    return hashlib.sha256(manifest_to_bytes(match_hierarchical(lr, hr, cfg))).hexdigest()
+
+
+def _manifest_digests():
+    return {f"{m.value}/{lv.value}": _manifest_digest(m, lv) for m in SimilarityKind for lv in MatchLevels}
+
+
+@pytest.mark.parametrize("levels", MatchLevels, ids=lambda lv: lv.value)
+@pytest.mark.parametrize("metric", SimilarityKind, ids=lambda m: m.value)
+def test_manifest_bytes_match_golden(metric, levels):
+    want = json.loads(GOLDEN_MANIFESTS.read_text())[f"{metric.value}/{levels.value}"]
+    assert _manifest_digest(metric, levels) == want
+
+
 def _summary(img):
     h, w = img.shape
     ramp = np.arange(h * w, dtype=np.float64).reshape(h, w) / (h * w)
@@ -85,3 +108,4 @@ if __name__ == "__main__":
     # json writes each float with repr, so the weights round-trip exactly
     GOLDEN.write_text(json.dumps({lv.value: _records(lv) for lv in LEVELS}) + "\n")
     GOLDEN_RESAMPLE.write_text(json.dumps({name: _resampled(name) for name in RESAMPLINGS}) + "\n")
+    GOLDEN_MANIFESTS.write_text(json.dumps(_manifest_digests(), indent=1) + "\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ def test_missing_and_bad_headers(tmp_path):
     (tmp_path / "x.vol.json").write_text('{"patient_id": "x"}')
     with pytest.raises(ValueError):
         load_volume(path)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"slices": 2.9, "height": True, "width": 12}, "height must be a JSON integer, got True"),
+        ({"slices": 2.0}, "slices must be a JSON integer, got 2.0"),
+        ({"width": "4"}, "width must be a JSON integer, got '4'"),
+    ],
+)
+def test_sidecar_dimensions_must_be_json_integers(tmp_path, fields, message):
+    save_volume(Volume("i", np.zeros((2, 3, 4))), tmp_path / "i.vol")
+    hpath = tmp_path / "i.vol.json"
+    hpath.write_text(json.dumps({**json.loads(hpath.read_text()), **fields}))
+    with pytest.raises(ValueError, match=f"contradictory or incomplete header {hpath}: {message}$"):
+        load_volume(tmp_path / "i.vol")
 
 
 def test_single_pixel_payload(tmp_path):

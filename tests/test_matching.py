@@ -25,12 +25,10 @@ from patchpair import (
     generate_similar_pair,
     match_exhaustive,
     match_hierarchical,
-    match_patch,
-    match_patient,
-    match_slice,
     nmi,
     patch_grid,
     read_manifest,
+    to_weight,
     weight_stats,
     write_manifest,
 )
@@ -39,7 +37,9 @@ from patchpair.matching import (
     _argmax,
     _Candidates,
     _centred_rows,
+    _hr_windows,
     _ref_to_json,
+    _slices,
     manifest_to_bytes,
 )
 from patchpair.similarity import _centred
@@ -84,18 +84,33 @@ class TestPatchGrid:
             patch_grid(64, 64, 32, 0)
 
 
+def hr_patients(lr_vol, hr_set, cfg):
+    """The HR patient ids that match_hierarchical's records give lr_vol's patches."""
+    return {r.hr.patient_id for r in match_hierarchical(Dataset("LR", (lr_vol,)), hr_set, cfg).records}
+
+
+def best_slice(query, hr_vol, cfg):
+    """The slice level: index of hr_vol's slice most similar to the query."""
+    (_, index), _ = _Candidates(_slices(hr_vol), cfg).best_many([query])[0]
+    return index
+
+
+def best_window(query, hr_vol, slice_index, cfg):
+    """The patch level: (PatchRef, weight) of the best grid window of hr_vol's slice for the query."""
+    size = query.shape[0]
+    grid = patch_grid(hr_vol.height, hr_vol.width, size, cfg.stride)
+    ref, score = _Candidates(_hr_windows(hr_vol, [slice_index], grid, size), cfg).best_many([query])[0]
+    return ref, to_weight(cfg.metric, score)
+
+
 class TestMatchPatient:
     def test_exact_copy_selected(self, small_dataset):
         lr_vol = small_dataset.volumes[1]
-        assert match_patient(lr_vol, small_dataset, SMALL_CFG) == lr_vol.patient_id
+        assert hr_patients(lr_vol, small_dataset, SMALL_CFG) == {lr_vol.patient_id}
 
     def test_single_patient(self, small_dataset):
         one = Dataset("HR", (small_dataset.volumes[0],))
-        assert match_patient(small_dataset.volumes[1], one, SMALL_CFG) == small_dataset.volumes[0].patient_id
-
-    def test_empty_set(self, small_dataset):
-        with pytest.raises(ValueError, match="empty"):
-            match_patient(small_dataset.volumes[0], Dataset("HR", ()), SMALL_CFG)
+        assert hr_patients(small_dataset.volumes[1], one, SMALL_CFG) == {small_dataset.volumes[0].patient_id}
 
     def test_matches_bruteforce_argmax(self):
         hr = generate_dataset(PhantomSpec(seed=5, patients=3, slices_per_patient=2, size=48))
@@ -106,18 +121,17 @@ class TestMatchPatient:
             for v in hr.volumes
         }
         expected = max(sorted(scores), key=lambda pid: scores[pid])
-        assert match_patient(lr.volumes[0], hr, SMALL_CFG) == expected
+        assert hr_patients(lr.volumes[0], hr, SMALL_CFG) == {expected}
 
 
 class TestMatchSlice:
     def test_verbatim_slice_found(self, rng):
-        slices = rng.random((6, 32, 32))
-        vol = Volume("h", slices)
-        assert match_slice(slices[3], vol, SMALL_CFG) == 3
+        vol = Volume("h", rng.random((6, 32, 32)))
+        assert best_slice(vol.data[3], vol, SMALL_CFG) == 3
 
     def test_single_slice(self, rng):
         vol = Volume("h", rng.random((1, 32, 32)))
-        assert match_slice(rng.random((32, 32)), vol, SMALL_CFG) == 0
+        assert best_slice(rng.random((32, 32)), vol, SMALL_CFG) == 0
 
     def test_matches_exhaustive_argmax(self):
         hr = generate_dataset(PhantomSpec(seed=8, patients=1, slices_per_patient=6, size=48))
@@ -126,32 +140,32 @@ class TestMatchSlice:
         ).volumes[0].data[0]
         vol = hr.volumes[0]
         scores = [nmi(query, vol.data[i], SMALL_CFG.hist) for i in range(6)]
-        assert match_slice(query, vol, SMALL_CFG) == int(np.argmax(scores))
+        assert best_slice(query, vol, SMALL_CFG) == int(np.argmax(scores))
 
 
 class TestMatchPatch:
     def test_verbatim_patch_found(self, rng):
-        hr_slice = rng.random((48, 48))
-        query = hr_slice[16:32, 16:32].copy()
-        ref, weight = match_patch(query, hr_slice, SMALL_CFG, patient_id="h", slice_index=2)
+        vol = Volume("h", rng.random((3, 48, 48)))
+        query = vol.data[2, 16:32, 16:32].copy()
+        ref, weight = best_window(query, vol, 2, SMALL_CFG)
         assert (ref.row, ref.col, ref.size) == (16, 16, 16)
         assert (ref.patient_id, ref.slice_index) == ("h", 2)
         assert weight == 1.0
 
     def test_constant_query_first_position_weight_zero(self, rng):
-        ref, weight = match_patch(np.full((16, 16), 0.5), rng.random((48, 48)), SMALL_CFG)
+        ref, weight = best_window(np.full((16, 16), 0.5), Volume("h", rng.random((1, 48, 48))), 0, SMALL_CFG)
         assert weight == 0.0
         assert (ref.row, ref.col) == (0, 0)
 
     def test_matches_bruteforce(self, rng):
-        hr_slice = rng.random((64, 64))
-        query = rng.random((16, 16))
+        vol = Volume("h", rng.random((1, 64, 64)))
+        hr_slice, query = vol.data[0], rng.random((16, 16))
         best = None
         for r, c in patch_grid(64, 64, 16, 16):
             s = nmi(query, hr_slice[r : r + 16, c : c + 16], SMALL_CFG.hist)
             if best is None or s > best[0]:
                 best = (s, r, c)
-        ref, weight = match_patch(query, hr_slice, SMALL_CFG)
+        ref, weight = best_window(query, vol, 0, SMALL_CFG)
         assert (ref.row, ref.col) == best[1:]
         assert weight == best[0]
 
@@ -204,7 +218,7 @@ class TestPreparedCandidates:
         query, images = case
         cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins))
         candidates = list(enumerate(images))
-        assert _Candidates(candidates, cfg).best(query) == _argmax(query, candidates, cfg)
+        assert _Candidates(candidates, cfg).best_many([query]) == [_argmax(query, candidates, cfg)]
 
     @given(query_and_candidates(batch=True), st.sampled_from(list(SimilarityKind)), st.integers(2, 16))
     @example(([_TWIN, _TWIN[::-1].copy(), _TWIN.copy(), -_TWIN], [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2)
@@ -248,26 +262,6 @@ class TestPreparedCandidates:
         got = _Candidates(candidates, cfg).best_many(queries)
         assert result_bits(got) == result_bits([_argmax(q, candidates, cfg) for q in queries])
         assert got[7] == (0, -1.0) and got[30][0] == 9
-
-    @pytest.mark.parametrize("metric", list(SimilarityKind))
-    def test_wrong_shaped_query_mid_batch_refused(self, metric):
-        prepared = _Candidates(enumerate([np.zeros((4, 4)), np.eye(4)]), MatchConfig(metric=metric))
-        with pytest.raises(ValueError, match=r"dimension mismatch: \(4, 5\) vs \(4, 4\)"):
-            prepared.best_many([np.eye(4), np.ones((4, 5)), np.eye(4)])
-
-    @pytest.mark.parametrize("metric", list(SimilarityKind))
-    def test_wrong_shaped_candidate_refused(self, metric):
-        images = [np.zeros((4, 4)), np.ones((4, 4)), np.zeros((4, 5))]
-        with pytest.raises(ValueError, match=r"dimension mismatch: \(4, 4\) vs \(4, 5\)"):
-            _Candidates(enumerate(images), MatchConfig(metric=metric))
-
-    @pytest.mark.parametrize("metric", list(SimilarityKind))
-    @pytest.mark.parametrize("position", [0, 2])
-    def test_non_finite_candidate_refused(self, metric, position):
-        images = [np.zeros((4, 4)), np.ones((4, 4)), np.full((4, 4), 0.5)]
-        images[position][1, 2] = np.nan
-        with pytest.raises(ValueError, match="image contains non-finite values"):
-            _Candidates(enumerate(images), MatchConfig(metric=metric))
 
 
 @st.composite
@@ -341,9 +335,10 @@ class TestHierarchical:
         hr, lr = tiny_pair(seed=23)
         m = match_hierarchical(lr, hr, SMALL_CFG)
         for lr_vol in lr.volumes:
-            pid = match_patient(lr_vol, hr, SMALL_CFG)
+            means = [(v.patient_id, v.data.mean(axis=0, dtype=np.float64)) for v in hr.volumes]
+            pid, _ = _argmax(lr_vol.data.mean(axis=0, dtype=np.float64), means, SMALL_CFG)
             for s_idx in range(lr_vol.n_slices):
-                expected_slice = match_slice(lr_vol.data[s_idx], hr.volume(pid), SMALL_CFG)
+                expected_slice = best_slice(lr_vol.data[s_idx], hr.volume(pid), SMALL_CFG)
                 recs = [
                     r for r in m.records
                     if r.lr.patient_id == lr_vol.patient_id and r.lr.slice_index == s_idx
@@ -379,11 +374,20 @@ class TestHierarchical:
         assert keys == sorted(keys)
         assert len(set(r.lr for r in m.records)) == len(m.records)
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("levels", list(MatchLevels), ids=lambda lv: lv.value)
+    @pytest.mark.parametrize("metric", list(SimilarityKind), ids=lambda m: m.value)
+    def test_dimension_mismatch_rejected(self, metric, levels):
         a = generate_dataset(PhantomSpec(seed=1, patients=1, slices_per_patient=1, size=48))
         b = generate_dataset(PhantomSpec(seed=1, patients=1, slices_per_patient=1, size=64), label="LR")
-        with pytest.raises(ValueError, match="uniform"):
-            match_hierarchical(b, a, SMALL_CFG)
+        cfg = dataclasses.replace(SMALL_CFG, metric=metric, levels=levels)
+        with pytest.raises(ValueError, match=r"uniform dimensions, got \[\(48, 48\), \(64, 64\)\]"):
+            match_hierarchical(b, a, cfg)
+        # one odd volume among same-shaped ones, in either set
+        mixed = (Volume("A", a.volumes[0].data), Volume("B", b.volumes[0].data), Volume("C", a.volumes[0].data))
+        with pytest.raises(ValueError, match=r"uniform dimensions, got \[\(48, 48\), \(64, 64\)\]"):
+            match_hierarchical(Dataset("LR", mixed), a, cfg)
+        with pytest.raises(ValueError, match=r"uniform dimensions, got \[\(48, 48\), \(64, 64\)\]"):
+            match_hierarchical(Dataset("LR", a.volumes), Dataset("HR", mixed), cfg)
 
     @pytest.mark.parametrize("levels", list(MatchLevels))
     def test_nmi_refuses_pixels_outside_histogram_range(self, levels):
@@ -603,6 +607,43 @@ class TestManifestIO:
         path.write_text("\n".join([head, records[0]] + [records[i] for i in order]) + "\n")
         with pytest.raises(ValueError, match=r"parse error at line 4: LR ref \('a', 0, 0, 16\) is not after the previous"):
             read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "side, key, value, message",
+        [
+            ("lr", "row", 1.9, "row must be a JSON integer, got 1.9"),
+            ("lr", "slice", True, "slice must be a JSON integer, got True"),
+            ("hr", "col", 0.0, "col must be a JSON integer, got 0.0"),
+            ("hr", "size", 16.5, "size must be a JSON integer, got 16.5"),
+            ("hr", "patient", 7, "patient must be a JSON string, got 7"),
+            (None, "weight", "0.5", "weight must be a JSON number, got '0.5'"),
+            (None, "weight", False, "weight must be a JSON number, got False"),
+        ],
+    )
+    def test_mistyped_record_field_names_line(self, tmp_path, side, key, value, message):
+        head, first, second = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).decode().splitlines()
+        obj = json.loads(second)
+        (obj if side is None else obj[side])[key] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, first, json.dumps(obj)]) + "\n")
+        with pytest.raises(ValueError, match=f"parse error at line 3: {message}$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key, value", [("patch_size", 16.0), ("stride", True), ("bins", "64")])
+    def test_mistyped_header_integer_names_line_one(self, tmp_path, key, value):
+        head, *records = manifest_to_bytes(fabricated_manifest([0.5])).decode().splitlines()
+        header = json.loads(head)
+        header["config"][key] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + records) + "\n")
+        with pytest.raises(ValueError, match=f"line 1: bad header \\({key} must be a JSON integer"):
+            read_manifest(path)
+
+    def test_integer_weights_read_as_floats(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        write_manifest(fabricated_manifest([0.0, 1.0]), path)
+        assert path.read_text().count('"weight": 0}') == path.read_text().count('"weight": 1}') == 1
+        assert [r.weight for r in read_manifest(path).records] == [0.0, 1.0]
 
     def test_fingerprint_mismatch_warns(self, tmp_path):
         hr, lr = tiny_pair(seed=67, patients=1, slices=1)
