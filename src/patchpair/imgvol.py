@@ -33,6 +33,13 @@ def require_int(value, name: str) -> int:
     return value
 
 
+def require_number(value, name: str):
+    """Validate a JSON number field: an int or a float, not a bool or a string."""
+    if type(value) not in (int, float):  # json gives a whole number such as 1 as int
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return value
+
+
 def require_pair(x: np.ndarray, y: np.ndarray):
     """Validate two images with ``require_image`` and check that their shapes agree."""
     x = require_image(x)

@@ -19,18 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume, require_int
+from .imgvol import Dataset, PatchRef, Volume, require_int, require_number
 from .losses import _REDUCE_BLOCK
 from .similarity import (
     HistogramSpec,
     RbfParams,
     SimilarityKind,
-    ZeroVarianceError,
+    _centred_rows,
     _code_entropy,
     _codes,
     _nmi,
     _pcc_centred,
-    similarity,
+    _rbf_d2,
+    similarity,  # not called here: perfbench's tracer counts evaluations at matching.similarity
     to_weight,
 )
 
@@ -77,13 +78,14 @@ class MatchConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "MatchConfig":
+        value_range = tuple(require_number(v, "value_range") for v in d["value_range"])
         return MatchConfig(
             patch_size=require_int(d["patch_size"], "patch_size"),
             stride=require_int(d["stride"], "stride"),
             metric=SimilarityKind(d["metric"]),
-            hist=HistogramSpec(bins=require_int(d["bins"], "bins"), value_range=tuple(d["value_range"])),
-            rbf=RbfParams(gamma=d["gamma"]),
-            threshold=float(d["threshold"]),
+            hist=HistogramSpec(bins=require_int(d["bins"], "bins"), value_range=value_range),
+            rbf=RbfParams(gamma=None if d["gamma"] is None else require_number(d["gamma"], "gamma")),
+            threshold=float(require_number(d["threshold"], "threshold")),
             levels=MatchLevels(d["levels"]),
         )
 
@@ -153,98 +155,65 @@ def _hr_windows(hr_vol: Volume, slices, grid, size: int):
     return [(PatchRef(pid, i, r, c, size), win) for i in slices for (r, c), win in _windows(hr_vol.data[i], grid, size)]
 
 
-def _argmax(query: np.ndarray, candidates, cfg: MatchConfig):
-    """(key, score) of the candidate image most similar to the query.
-
-    Candidates are (key, image) pairs in lexicographic key order; keeping the
-    first strict maximum sends every tie to the smallest key.
-    """
-    best_key, best = None, -np.inf
-    for key, image in candidates:
-        try:
-            s = float(similarity(cfg.metric, query, image, hist=cfg.hist, rbf_params=cfg.rbf))
-        except ZeroVarianceError:
-            s = -1.0  # degenerate PCC candidates rank below every valid correlation
-        if s > best:
-            best_key, best = key, s
-    return best_key, best
-
-
-def _centred_rows(images):
-    """(d, v, screenable) of equally shaped images: row k of the (n, P) float64 stack d and v[k] are
-    ``_centred(images[k])``, bit for bit, and screenable[k] says whether every nonzero |d[k]| lies in
-    [2**-400, 2**400], so that no product of two deviations underflows or overflows and the screen's
-    bound holds. Rows go through in blocks of about _REDUCE_BLOCK elements, so each temporary is one
-    block; a row's mean and mean square are numpy's pairwise sums over the contiguous row, as in _centred."""
-    d = np.array(images, dtype=np.float64).reshape(len(images), -1)
-    n, p = d.shape
-    v, screenable = np.empty(n), np.empty(n, dtype=bool)
-    k = max(1, _REDUCE_BLOCK // p)
-    buf = np.empty((min(k, n), p))
-    for lo in range(0, n, k):
-        b = d[lo : lo + k]
-        b -= b.mean(axis=1)[:, None]
-        a = np.multiply(b, b, out=buf[: len(b)])
-        v[lo : lo + k] = a.mean(axis=1)
-        a = np.abs(b, out=a)
-        a[a == 0.0] = 1.0  # a zero deviation is exact in every product
-        screenable[lo : lo + k] = (a.min(axis=1) >= 2.0**-400) & (a.max(axis=1) <= 2.0**400)
-    return d, v, screenable
-
-
 class _Candidates:
-    """One match level's (key, image) candidates, prepared once and queried
-    for many LR images; ``best_many(queries)`` is each query's ``_argmax`` (key, score), bit for bit.
+    """One match level's (key, image) candidates, prepared once and queried for many LR images:
+    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``.
 
     NMI bins each candidate and takes its marginal entropy once, so a pair
     costs one joint bincount. PCC keeps each candidate's centred pixels and
     mean square, screens a whole batch of queries with one matrix product and
-    re-scores, from those cached rows, only the candidates the screen cannot
-    rule out. RBF runs the scalar loop.
+    scores, from those cached rows, only the candidates the screen cannot
+    rule out. RBF keeps each candidate's pixels as one float64 row and sums a
+    pair's squared distance over the row, as ``rbf`` does.
 
     Every image is a Volume's slice, a window of one or a mean image, so it is
     finite and 2-D, and _validate_sets has made every shape the same.
     """
 
     def __init__(self, candidates, cfg: MatchConfig):
-        self.keys, self.images = map(list, zip(*candidates))
+        self.keys, images = map(list, zip(*candidates))
         self.cfg = cfg
         if cfg.metric is SimilarityKind.NMI:
-            self.codes = [_codes(img, cfg.hist) for img in self.images]
+            self.codes = [_codes(img, cfg.hist) for img in images]
             self.entropies = [_code_entropy(c) for c in self.codes]
         elif cfg.metric is SimilarityKind.PCC:
-            self.d, self.v, screenable = _centred_rows(self.images)
-            self.flat = self.v == 0.0  # pcc raises ZeroVarianceError: the pair scores -1
+            self.d, self.v, screenable = _centred_rows(images)
+            self.flat = self.v == 0.0
             self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
             self.screenable = bool(screenable.all())
+        else:
+            self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
 
     def best_many(self, queries):
         queries = list(queries)
         if self.cfg.metric is SimilarityKind.PCC:
             cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
             return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
-        return [self._best_one(query) for query in queries]
+        scores = self._nmi_scores if self.cfg.metric is SimilarityKind.NMI else self._rbf_scores
+        every = range(len(self.keys))
+        return [self._first_max(every, scores(query)) for query in queries]
 
-    def _best_one(self, query: np.ndarray):
-        if self.cfg.metric is SimilarityKind.NMI:
-            bx = _codes(query, self.cfg.hist)
-            hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
-            scores = np.array([_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)])
-            k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
-            return self.keys[k], float(scores[k])
-        return _argmax(query, zip(self.keys, self.images), self.cfg)
+    def _first_max(self, band, scores):  # scores of the candidates in band, in key order
+        k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
+        return self.keys[band[k]], float(scores[k])
+
+    def _nmi_scores(self, query: np.ndarray):
+        bx = _codes(query, self.cfg.hist)
+        hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
+        return [_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)]
+
+    def _rbf_scores(self, query: np.ndarray):
+        n, p = self.rows.shape
+        x, d2 = query.astype(np.float64).ravel(), np.empty(n)
+        k = max(1, _REDUCE_BLOCK // p)  # rows per block, so each temporary is one block
+        for lo in range(0, n, k):
+            d = x - self.rows[lo : lo + k]
+            d2[lo : lo + k] = (d * d).sum(axis=1)  # numpy's pairwise sum over each contiguous row, as rbf's
+        return [_rbf_d2(float(t), p, self.cfg.rbf) for t in d2]
 
     def _best_pcc(self, queries):
-        (dq, vq, screenable), results, screened = _centred_rows(queries), [None] * len(queries), []
-        for i in range(len(queries)):
-            if vq[i] == 0.0:
-                results[i] = self.keys[0], -1.0  # every pair raises ZeroVarianceError and scores -1
-            elif self.screenable and screenable[i]:
-                screened.append(i)
-            else:
-                results[i] = self._best_one(queries[i])
-        if not screened:
-            return results
+        dq, vq, screenable = _centred_rows(queries)
+        screened = np.flatnonzero(screenable & (vq != 0.0) & self.screenable)
         # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's pairwise mean of dx * dy; the
         # screen's is one entry of a BLAS matrix product, a dot in some order and perhaps with FMA. Each
         # sum is within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds
@@ -252,16 +221,19 @@ class _Candidates:
         # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
         # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
         # or overflows (_centred_rows). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
-        # s~_j - 2 delta for the screen's best j, so re-scoring, in key order, every candidate within
-        # 2 delta of the screen's best gives _argmax's key and score.
+        # s~_j - 2 delta for the screen's best j, so scoring, in key order, every candidate within
+        # 2 delta of the screen's best gives the exact maximum's key and score.
         p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
         s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
         s[self.flat] = -1.0
-        for j, i in enumerate(screened):
-            band = np.flatnonzero(s[:, j] >= s[:, j].max() - 2.0 * (p + 4) * np.finfo(np.float64).eps)
-            scores = [-1.0 if self.flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
-            k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
-            results[i] = self.keys[band[k]], scores[k]
+        tol = 2.0 * (p + 4) * np.finfo(np.float64).eps
+        bands = {i: np.flatnonzero(s[:, j] >= s[:, j].max() - tol) for j, i in enumerate(screened.tolist())}
+        results = []
+        for i in range(len(queries)):
+            band = bands.get(i, range(len(self.keys)))  # unscreened: a flat query, or the screen cannot bound it
+            flat = self.flat | (vq[i] == 0.0)  # pcc raises ZeroVarianceError: the pair scores -1
+            scores = [-1.0 if flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
+            results.append(self._first_max(band, scores))
         return results
 
 
@@ -420,9 +392,8 @@ def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = Non
     for n, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-            if type(obj["weight"]) not in (int, float):  # the writer emits 1.0 and 0.0 as 1 and 0
-                raise ValueError(f"weight must be a JSON number, got {obj['weight']!r}")
-            rec = MatchRecord(lr=_ref_from_obj(obj["lr"]), hr=_ref_from_obj(obj["hr"]), weight=float(obj["weight"]))
+            weight = float(require_number(obj["weight"], "weight"))  # the writer emits 1.0 and 0.0 as 1 and 0
+            rec = MatchRecord(lr=_ref_from_obj(obj["lr"]), hr=_ref_from_obj(obj["hr"]), weight=weight)
             for side, ref in (("lr", rec.lr), ("hr", rec.hr)):
                 if ref.size != config.patch_size:
                     raise ValueError(f"{side} size {ref.size} differs from the header's patch_size {config.patch_size}")

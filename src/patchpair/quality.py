@@ -58,9 +58,9 @@ def rmse(y: np.ndarray, x: np.ndarray) -> float:
     """Root mean square error sqrt(mean((y - x)^2)), 0 only for identical images."""
     y, x = _pair(y, x)
     d = y - x
-    # scaled by m = max|y - x| so that squares of tiny differences cannot underflow to 0
+    # scaled by m = max|y - x| so that no square underflows; a result below the least subnormal rounds up to it
     m = float(np.abs(d).max())
-    return m * math.sqrt(float(((d / m) ** 2).mean())) if m > 0 else 0.0
+    return max(m * math.sqrt(float(((d / m) ** 2).mean())), math.ulp(0.0)) if m > 0 else 0.0
 
 
 def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:

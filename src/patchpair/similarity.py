@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .imgvol import require_pair
+from .losses import _REDUCE_BLOCK
 
 
 class ZeroVarianceError(ValueError):
@@ -137,24 +138,38 @@ def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> 
     return _nmi(_code_entropy(bx), _code_entropy(by), _code_entropy(bx * spec.bins + by))
 
 
-def _centred(img: np.ndarray):
-    """(d, v): the float64 deviations of img's pixels from their mean, and their mean square."""
-    f = img.astype(np.float64).ravel()
-    d = f - f.mean()
-    return d, float((d * d).mean())
+def _centred_rows(images):
+    """(d, v, screenable) of equally shaped images: row k of the (n, P) float64 stack d holds images[k]'s
+    deviations from its mean and v[k] their mean square; screenable[k] says whether every nonzero |d[k]|
+    lies in [2**-400, 2**400], so that no product of two deviations underflows or overflows and matching's
+    PCC screen bound holds. Rows go through in blocks of about _REDUCE_BLOCK elements, so each temporary
+    is one block; a row's mean and mean square are numpy's pairwise sums over the contiguous row."""
+    d = np.array(images, dtype=np.float64).reshape(len(images), -1)
+    n, p = d.shape
+    v, screenable = np.empty(n), np.empty(n, dtype=bool)
+    k = max(1, _REDUCE_BLOCK // p)
+    buf = np.empty((min(k, n), p))
+    for lo in range(0, n, k):
+        b = d[lo : lo + k]
+        b -= b.mean(axis=1)[:, None]
+        a = np.multiply(b, b, out=buf[: len(b)])
+        v[lo : lo + k] = a.mean(axis=1)
+        a = np.abs(b, out=a)
+        a[a == 0.0] = 1.0  # a zero deviation is exact in every product
+        screenable[lo : lo + k] = (a.min(axis=1) >= 2.0**-400) & (a.max(axis=1) <= 2.0**400)
+    return d, v, screenable
 
 
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
-    x, y = require_pair(x, y)
-    (dx, vx), (dy, vy) = _centred(x), _centred(y)
+    (dx, dy), (vx, vy), _ = _centred_rows(require_pair(x, y))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
     return _pcc_centred(dx, vx, dy, vy)
 
 
 def _pcc_centred(dx: np.ndarray, vx: float, dy: np.ndarray, vy: float) -> float:
-    """pcc from two images' ``_centred`` deviations and nonzero mean squares."""
+    """pcc from two images' ``_centred_rows`` deviations and nonzero mean squares."""
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
     return min(max(r, -1.0), 1.0)
 
@@ -163,8 +178,12 @@ def rbf(x: np.ndarray, y: np.ndarray, params: RbfParams = RbfParams()) -> float:
     """Gaussian radial-basis similarity exp(-||x - y||^2 / (2 gamma^2)) in (0, 1]."""
     x, y = require_pair(x, y)
     d = x.astype(np.float64) - y.astype(np.float64)
-    d2 = float((d * d).sum())
-    gamma = params.gamma if params.gamma is not None else math.sqrt(x.size) / 2.0
+    return _rbf_d2(float((d * d).sum()), x.size, params)
+
+
+def _rbf_d2(d2: float, pixels: int, params: RbfParams) -> float:
+    """rbf from a pair's squared distance ||x - y||^2 and its pixel count."""
+    gamma = params.gamma if params.gamma is not None else math.sqrt(pixels) / 2.0
     return math.exp(-d2 / (2.0 * gamma * gamma))
 
 

@@ -64,6 +64,20 @@ def _score(metric, a, b, cfg):
         return -1.0
 
 
+def argmax(query, candidates, cfg):
+    """(key, score) of the candidate image most similar to the query.
+
+    Candidates are (key, image) pairs in lexicographic key order; keeping the
+    first strict maximum sends every tie to the smallest key.
+    """
+    best_key, best = None, -np.inf
+    for key, image in candidates:
+        s = _score(cfg.metric, query, image, cfg)
+        if s > best:
+            best_key, best = key, s
+    return best_key, best
+
+
 def triple_loop_exhaustive(lr_set, hr_set, cfg):
     """Exhaustive matcher as four explicit nested loops.
 
@@ -108,6 +122,13 @@ def manifest_tuples(manifest):
 def ref_to_json_dict(ref):
     """A manifest ref as first serialized: json.dumps of a dict built per ref."""
     return json.dumps({key: getattr(ref, field) for field, key in _REF_KEYS.items()})
+
+
+def centred(img: np.ndarray):
+    """(d, v): the float64 deviations of img's pixels from their mean, and their mean square."""
+    f = img.astype(np.float64).ravel()
+    d = f - f.mean()
+    return d, float((d * d).mean())
 
 
 def screenable(d: np.ndarray) -> bool:

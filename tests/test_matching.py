@@ -17,6 +17,7 @@ from patchpair import (
     MatchRecord,
     PatchRef,
     PhantomSpec,
+    RbfParams,
     SimilarityKind,
     Volume,
     dataset_fingerprint,
@@ -34,16 +35,14 @@ from patchpair import (
 )
 from patchpair.matching import (
     FingerprintMismatchWarning,
-    _argmax,
     _Candidates,
-    _centred_rows,
     _hr_windows,
     _ref_to_json,
     _slices,
     manifest_to_bytes,
 )
-from patchpair.similarity import _centred
-from .oracles import manifest_tuples, ref_to_json_dict, screenable, triple_loop_exhaustive
+from patchpair.similarity import _centred_rows
+from .oracles import argmax, centred, manifest_tuples, ref_to_json_dict, screenable, triple_loop_exhaustive
 
 SMALL_CFG = MatchConfig(patch_size=16, stride=16, hist=HistogramSpec(bins=16))
 
@@ -208,26 +207,32 @@ def result_bits(results):
     return [(key, float(score).hex()) for key, score in results]
 
 
-class TestPreparedCandidates:
-    @given(query_and_candidates(), st.sampled_from(list(SimilarityKind)), st.integers(2, 16))
-    @example((_TWIN, [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2)
-    # a constant candidate (-1) must lose to a negative correlation
-    @example((np.array([[0.0, 1.0, 0.5]]), [np.full((1, 3), 0.3), np.array([[1.0, 0.0, 0.0]])]), SimilarityKind.PCC, 2)
-    @settings(max_examples=400, deadline=None)
-    def test_equals_scalar_argmax_bit_for_bit(self, case, metric, bins):
-        query, images = case
-        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins))
-        candidates = list(enumerate(images))
-        assert _Candidates(candidates, cfg).best_many([query]) == [_argmax(query, candidates, cfg)]
+# RBF's gamma: None picks sqrt(P) / 2; at 1e-3 most scores underflow to 0, at 1e3 all lie within 1e-4 of 1
+GAMMAS = st.sampled_from([None, 1e-3, 0.5, 1e3])
 
-    @given(query_and_candidates(batch=True), st.sampled_from(list(SimilarityKind)), st.integers(2, 16))
-    @example(([_TWIN, _TWIN[::-1].copy(), _TWIN.copy(), -_TWIN], [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2)
-    @settings(max_examples=300, deadline=None)
-    def test_batch_equals_scalar_argmax_bit_for_bit(self, case, metric, bins):
-        queries, images = case
-        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins))
+
+class TestPreparedCandidates:
+    @given(query_and_candidates(), st.sampled_from(list(SimilarityKind)), st.integers(2, 16), GAMMAS)
+    @example((_TWIN, [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2, None)
+    # a constant candidate (-1) must lose to a negative correlation
+    @example((np.array([[0.0, 1.0, 0.5]]), [np.full((1, 3), 0.3), np.array([[1.0, 0.0, 0.0]])]), SimilarityKind.PCC, 2, None)
+    # every RBF score underflows to 0: the first key wins with 0.0
+    @example((np.zeros((2, 2)), [np.ones((2, 2)), np.full((2, 2), 0.5), np.eye(2)]), SimilarityKind.RBF, 2, 1e-3)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scalar_argmax_bit_for_bit(self, case, metric, bins, gamma):
+        query, images = case
+        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins), rbf=RbfParams(gamma))
         candidates = list(enumerate(images))
-        expected = [_argmax(q, candidates, cfg) for q in queries]
+        assert result_bits(_Candidates(candidates, cfg).best_many([query])) == result_bits([argmax(query, candidates, cfg)])
+
+    @given(query_and_candidates(batch=True), st.sampled_from(list(SimilarityKind)), st.integers(2, 16), GAMMAS)
+    @example(([_TWIN, _TWIN[::-1].copy(), _TWIN.copy(), -_TWIN], [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2, None)
+    @settings(max_examples=300, deadline=None)
+    def test_batch_equals_scalar_argmax_bit_for_bit(self, case, metric, bins, gamma):
+        queries, images = case
+        cfg = MatchConfig(metric=metric, hist=HistogramSpec(bins=bins), rbf=RbfParams(gamma))
+        candidates = list(enumerate(images))
+        expected = [argmax(q, candidates, cfg) for q in queries]
         assert result_bits(_Candidates(candidates, cfg).best_many(queries)) == result_bits(expected)
 
     @pytest.mark.parametrize("metric", list(SimilarityKind))
@@ -238,18 +243,22 @@ class TestPreparedCandidates:
         queries = [
             images[3].copy(),
             np.full((6, 5), 0.5),  # flat query: every PCC pair scores -1, so the first key wins
-            rng.random((6, 5)) * 1e-160,  # its deviations underflow in products: PCC's scalar fallback
+            rng.random((6, 5)) * 1e-160,  # its deviations underflow in products: PCC scores every candidate
             rng.random((6, 5)),
             np.zeros((6, 5)),
             images[0] * 1e-160,
         ]
         cfg = MatchConfig(metric=metric)
-        candidates = list(enumerate(images))
-        got = _Candidates(candidates, cfg).best_many(queries)
-        assert result_bits(got) == result_bits([_argmax(q, candidates, cfg) for q in queries])
-        assert got[0][0] == 3
-        if metric is SimilarityKind.PCC:
-            assert got[1] == got[4] == (0, -1.0)
+        # with one candidate at 1e-160 the PCC stack cannot be screened: every query scores every candidate
+        for tiny_candidate in (False, True):
+            candidates = list(enumerate(images[:6] + [images[6] * (1e-160 if tiny_candidate else 1.0)]))
+            prepared = _Candidates(candidates, cfg)
+            got = prepared.best_many(queries)
+            assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+            assert got[0][0] == 3
+            if metric is SimilarityKind.PCC:
+                assert got[1] == got[4] == (0, -1.0)
+                assert prepared.screenable is not tiny_candidate
 
     def test_pcc_batch_over_cap_mixing_flat_and_unscreenable_queries(self, rng):
         images = [rng.random((4, 4)) for _ in range(20)]  # cap min(20, 16): 40 queries take 3 products
@@ -260,7 +269,7 @@ class TestPreparedCandidates:
         cfg = MatchConfig(metric=SimilarityKind.PCC)
         candidates = list(enumerate(images))
         got = _Candidates(candidates, cfg).best_many(queries)
-        assert result_bits(got) == result_bits([_argmax(q, candidates, cfg) for q in queries])
+        assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
         assert got[7] == (0, -1.0) and got[30][0] == 9
 
 
@@ -292,7 +301,7 @@ class TestCentredRows:
         d, v, mask = _centred_rows(images)
         assert d.shape == (len(images), images[0].size) and d.dtype == np.float64
         for k, img in enumerate(images):
-            dk, vk = _centred(img)
+            dk, vk = centred(img)
             assert np.array_equal(d[k].view(np.int64), dk.view(np.int64))
             assert float(v[k]).hex() == vk.hex()
             assert mask[k] == screenable(dk)
@@ -336,7 +345,7 @@ class TestHierarchical:
         m = match_hierarchical(lr, hr, SMALL_CFG)
         for lr_vol in lr.volumes:
             means = [(v.patient_id, v.data.mean(axis=0, dtype=np.float64)) for v in hr.volumes]
-            pid, _ = _argmax(lr_vol.data.mean(axis=0, dtype=np.float64), means, SMALL_CFG)
+            pid, _ = argmax(lr_vol.data.mean(axis=0, dtype=np.float64), means, SMALL_CFG)
             for s_idx in range(lr_vol.n_slices):
                 expected_slice = best_slice(lr_vol.data[s_idx], hr.volume(pid), SMALL_CFG)
                 recs = [
@@ -637,6 +646,25 @@ class TestManifestIO:
         path = tmp_path / "m.jsonl"
         path.write_text("\n".join([json.dumps(header)] + records) + "\n")
         with pytest.raises(ValueError, match=f"line 1: bad header \\({key} must be a JSON integer"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("threshold", "0.4", "threshold must be a JSON number, got '0.4'"),
+            ("threshold", True, "threshold must be a JSON number, got True"),
+            ("gamma", True, "gamma must be a JSON number, got True"),
+            ("value_range", [True, 2], "value_range must be a JSON number, got True"),
+            ("value_range", [0.0, "1"], "value_range must be a JSON number, got '1'"),
+        ],
+    )
+    def test_mistyped_header_number_names_line_one(self, tmp_path, key, value, message):
+        head, *records = manifest_to_bytes(fabricated_manifest([0.5])).decode().splitlines()
+        header = json.loads(head)
+        header["config"][key] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + records) + "\n")
+        with pytest.raises(ValueError, match=f"parse error at line 1: bad header \\({message}\\)$"):
             read_manifest(path)
 
     def test_integer_weights_read_as_floats(self, tmp_path):

@@ -36,6 +36,13 @@ class TestRmse:
         assert rmse(y, x) == pytest.approx(tiny / 8, rel=1e-9)
         assert psnr(y, x) == pytest.approx(20.0 * math.log10(8.0), abs=1e-9)
 
+    def test_difference_below_least_subnormal_rounds_up(self):
+        # the exact RMSE, 5e-324 / 8, rounds to 0 in float64: it must stay nonzero for unequal images
+        x = np.zeros((8, 8))
+        y = x.copy()
+        y[0, 0] = math.ulp(0.0)
+        assert rmse(y, x) == rmse(x, y) == math.ulp(0.0)
+
     @given(unit_images, unit_images, unit_images)
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, a, b, c):
