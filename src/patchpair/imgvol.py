@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 VALID_LABELS = ("LR", "HR")
+_REDUCE_BLOCK = 1 << 16  # float64 elements per block: items in losses._mean_abs, rows in similarity._centred_rows and _Candidates._rbf_scores
 
 
 def require_image(img: np.ndarray) -> np.ndarray:

@@ -16,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Volume, load_volume, save_volume
+from .imgvol import _REDUCE_BLOCK, Volume, load_volume, save_volume
 
 CLAMP_EPS = 1e-7
-_REDUCE_BLOCK = 1 << 16  # float64 elements per chunk: items in _mean_abs, rows in similarity._centred_rows and RBF matching
 
 IMAGE_ROLES = ("x", "y", "gx", "fy", "fgx", "gfy", "fx", "gy")
 SCALAR_ROLES = ("dy_y", "dy_gx", "dx_x", "dx_fy")

@@ -20,17 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .imgvol import Dataset, PatchRef, Volume, require_int, require_number
-from .losses import _REDUCE_BLOCK
 from .similarity import (
     HistogramSpec,
     RbfParams,
     SimilarityKind,
-    _centred_rows,
-    _code_entropy,
-    _codes,
-    _nmi,
-    _pcc_centred,
-    _rbf_d2,
+    _Candidates,
     similarity,  # not called here: perfbench's tracer counts evaluations at matching.similarity
     to_weight,
 )
@@ -153,88 +147,6 @@ def _hr_windows(hr_vol: Volume, slices, grid, size: int):
     """(PatchRef, view) of each grid window of each of hr_vol's slices."""
     pid = hr_vol.patient_id
     return [(PatchRef(pid, i, r, c, size), win) for i in slices for (r, c), win in _windows(hr_vol.data[i], grid, size)]
-
-
-class _Candidates:
-    """One match level's (key, image) candidates, prepared once and queried for many LR images:
-    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``.
-
-    NMI bins each candidate and takes its marginal entropy once, so a pair
-    costs one joint bincount. PCC keeps each candidate's centred pixels and
-    mean square, screens a whole batch of queries with one matrix product and
-    scores, from those cached rows, only the candidates the screen cannot
-    rule out. RBF keeps each candidate's pixels as one float64 row and sums a
-    pair's squared distance over the row, as ``rbf`` does.
-
-    Every image is a Volume's slice, a window of one or a mean image, so it is
-    finite and 2-D, and _validate_sets has made every shape the same.
-    """
-
-    def __init__(self, candidates, cfg: MatchConfig):
-        self.keys, images = map(list, zip(*candidates))
-        self.cfg = cfg
-        if cfg.metric is SimilarityKind.NMI:
-            self.codes = [_codes(img, cfg.hist) for img in images]
-            self.entropies = [_code_entropy(c) for c in self.codes]
-        elif cfg.metric is SimilarityKind.PCC:
-            self.d, self.v, screenable = _centred_rows(images)
-            self.flat = self.v == 0.0
-            self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
-            self.screenable = bool(screenable.all())
-        else:
-            self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
-
-    def best_many(self, queries):
-        queries = list(queries)
-        if self.cfg.metric is SimilarityKind.PCC:
-            cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
-            return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
-        scores = self._nmi_scores if self.cfg.metric is SimilarityKind.NMI else self._rbf_scores
-        every = range(len(self.keys))
-        return [self._first_max(every, scores(query)) for query in queries]
-
-    def _first_max(self, band, scores):  # scores of the candidates in band, in key order
-        k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
-        return self.keys[band[k]], float(scores[k])
-
-    def _nmi_scores(self, query: np.ndarray):
-        bx = _codes(query, self.cfg.hist)
-        hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
-        return [_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)]
-
-    def _rbf_scores(self, query: np.ndarray):
-        n, p = self.rows.shape
-        x, d2 = query.astype(np.float64).ravel(), np.empty(n)
-        k = max(1, _REDUCE_BLOCK // p)  # rows per block, so each temporary is one block
-        for lo in range(0, n, k):
-            d = x - self.rows[lo : lo + k]
-            d2[lo : lo + k] = (d * d).sum(axis=1)  # numpy's pairwise sum over each contiguous row, as rbf's
-        return [_rbf_d2(float(t), p, self.cfg.rbf) for t in d2]
-
-    def _best_pcc(self, queries):
-        dq, vq, screenable = _centred_rows(queries)
-        screened = np.flatnonzero(screenable & (vq != 0.0) & self.screenable)
-        # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's pairwise mean of dx * dy; the
-        # screen's is one entry of a BLAS matrix product, a dot in some order and perhaps with FMA. Each
-        # sum is within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds
-        # by P sqrt(vx vy) up to 1 + O(P u) from rounding vx and vy: about P eps in r units. Dividing by P
-        # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
-        # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
-        # or overflows (_centred_rows). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
-        # s~_j - 2 delta for the screen's best j, so scoring, in key order, every candidate within
-        # 2 delta of the screen's best gives the exact maximum's key and score.
-        p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
-        s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
-        s[self.flat] = -1.0
-        tol = 2.0 * (p + 4) * np.finfo(np.float64).eps
-        bands = {i: np.flatnonzero(s[:, j] >= s[:, j].max() - tol) for j, i in enumerate(screened.tolist())}
-        results = []
-        for i in range(len(queries)):
-            band = bands.get(i, range(len(self.keys)))  # unscreened: a flat query, or the screen cannot bound it
-            flat = self.flat | (vq[i] == 0.0)  # pcc raises ZeroVarianceError: the pair scores -1
-            scores = [-1.0 if flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
-            results.append(self._first_max(band, scores))
-        return results
 
 
 def _mean_image(vol: Volume) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Similarity metrics between equally sized images: NMI, PCC, RBF.
+"""Similarity metrics between equally sized images: NMI, PCC, RBF, and the
+prepared candidate sets (``_Candidates``) that matching scores with them.
 
 NMI uses plug-in estimates from a uniform joint histogram and natural
 logarithms throughout. Each of H_x, H_y and H_xy is computed from the sorted
@@ -16,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .imgvol import require_pair
-from .losses import _REDUCE_BLOCK
+from .imgvol import _REDUCE_BLOCK, require_pair
 
 
 class ZeroVarianceError(ValueError):
@@ -100,9 +100,10 @@ def _plogp_table(n) -> np.ndarray:
 
 def _count_entropy(counts: np.ndarray, n) -> float:
     """Entropy of counts / n from the sorted nonzero counts, so it depends only on their multiset."""
-    c = np.sort(counts[counts > 0])
+    c = counts[counts > 0]
+    c.sort()  # integers: any sort algorithm gives the same array
     terms = _plogp_table(n)[c] if n <= _TABLE_MAX_N else (c / n) * np.log(c / n)
-    return float(-terms.sum())
+    return float(-np.add.reduce(terms))
 
 
 def _code_entropy(codes: np.ndarray) -> float:
@@ -139,30 +140,24 @@ def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> 
 
 
 def _centred_rows(images):
-    """(d, v, screenable) of equally shaped images: row k of the (n, P) float64 stack d holds images[k]'s
-    deviations from its mean and v[k] their mean square; screenable[k] says whether every nonzero |d[k]|
-    lies in [2**-400, 2**400], so that no product of two deviations underflows or overflows and matching's
-    PCC screen bound holds. Rows go through in blocks of about _REDUCE_BLOCK elements, so each temporary
-    is one block; a row's mean and mean square are numpy's pairwise sums over the contiguous row."""
+    """(d, v) of equally shaped images: row k of the (n, P) float64 stack d holds images[k]'s deviations
+    from its mean and v[k] their mean square. Rows go through in blocks of about _REDUCE_BLOCK elements,
+    so each temporary is one block; a row's mean and mean square are numpy's pairwise sums over the
+    contiguous row."""
     d = np.array(images, dtype=np.float64).reshape(len(images), -1)
     n, p = d.shape
-    v, screenable = np.empty(n), np.empty(n, dtype=bool)
+    v = np.empty(n)
     k = max(1, _REDUCE_BLOCK // p)
-    buf = np.empty((min(k, n), p))
     for lo in range(0, n, k):
         b = d[lo : lo + k]
         b -= b.mean(axis=1)[:, None]
-        a = np.multiply(b, b, out=buf[: len(b)])
-        v[lo : lo + k] = a.mean(axis=1)
-        a = np.abs(b, out=a)
-        a[a == 0.0] = 1.0  # a zero deviation is exact in every product
-        screenable[lo : lo + k] = (a.min(axis=1) >= 2.0**-400) & (a.max(axis=1) <= 2.0**400)
-    return d, v, screenable
+        v[lo : lo + k] = (b * b).mean(axis=1)
+    return d, v
 
 
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
-    (dx, dy), (vx, vy), _ = _centred_rows(require_pair(x, y))
+    (dx, dy), (vx, vy) = _centred_rows(require_pair(x, y))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
     return _pcc_centred(dx, vx, dy, vy)
@@ -209,3 +204,93 @@ def to_weight(kind: SimilarityKind, score: float) -> float:
     if kind is SimilarityKind.PCC:
         return max(0.0, score)
     return score
+
+
+def _screenable(d: np.ndarray) -> np.ndarray:
+    """Per row of centred deviations d: whether every nonzero |d| lies in [2**-400, 2**400], so that no
+    product of two deviations underflows or overflows and the PCC screen's bound in _Candidates holds."""
+    tiny = (d > -(2.0**-400)) & (d < 2.0**-400) & (d != 0.0)
+    return ~tiny.any(axis=1) & (np.maximum(d.max(axis=1), -d.min(axis=1)) <= 2.0**400)
+
+
+class _Candidates:
+    """One match level's (key, image) candidates, prepared once and queried for many LR images:
+    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``.
+
+    NMI bins each candidate and takes its marginal entropy once, so a pair
+    costs one joint bincount. PCC keeps each candidate's centred pixels and
+    mean square, screens a whole batch of queries with one matrix product and
+    scores, from those cached rows, only the candidates the screen cannot
+    rule out. RBF keeps each candidate's pixels as one float64 row and sums a
+    pair's squared distance over the row, as ``rbf`` does.
+
+    ``cfg`` is a ``matching.MatchConfig``; only its metric, hist and rbf are
+    read. Every image is a Volume's slice, a window of one or a mean image, so
+    it is finite and 2-D, and matching has checked that every shape is the same.
+    """
+
+    def __init__(self, candidates, cfg):
+        self.keys, images = map(list, zip(*candidates))
+        self.cfg = cfg
+        if cfg.metric is SimilarityKind.NMI:
+            self.codes = [_codes(img, cfg.hist) for img in images]
+            self.entropies = [_code_entropy(c) for c in self.codes]
+        elif cfg.metric is SimilarityKind.PCC:
+            self.d, self.v = _centred_rows(images)
+            self.flat = self.v == 0.0
+            self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
+            self.screenable = bool(_screenable(self.d).all())
+        else:
+            self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
+
+    def best_many(self, queries):
+        queries = list(queries)
+        if self.cfg.metric is SimilarityKind.PCC:
+            cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
+            return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
+        scores = self._nmi_scores if self.cfg.metric is SimilarityKind.NMI else self._rbf_scores
+        every = range(len(self.keys))
+        return [self._first_max(every, scores(query)) for query in queries]
+
+    def _first_max(self, band, scores):  # scores of the candidates in band, in key order
+        k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
+        return self.keys[band[k]], float(scores[k])
+
+    def _nmi_scores(self, query: np.ndarray):
+        bx = _codes(query, self.cfg.hist)
+        hx, jx = _code_entropy(bx), bx * self.cfg.hist.bins
+        return [_nmi(hx, hy, _code_entropy(jx + by)) for by, hy in zip(self.codes, self.entropies)]
+
+    def _rbf_scores(self, query: np.ndarray):
+        n, p = self.rows.shape
+        x, d2 = query.astype(np.float64).ravel(), np.empty(n)
+        k = max(1, _REDUCE_BLOCK // p)  # rows per block, so each temporary is one block
+        for lo in range(0, n, k):
+            d = x - self.rows[lo : lo + k]
+            d2[lo : lo + k] = (d * d).sum(axis=1)  # numpy's pairwise sum over each contiguous row, as rbf's
+        return [_rbf_d2(float(t), p, self.cfg.rbf) for t in d2]
+
+    def _best_pcc(self, queries):
+        dq, vq = _centred_rows(queries)
+        screened = np.flatnonzero(_screenable(dq) & (vq != 0.0) & self.screenable)
+        # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's pairwise mean of dx * dy; the
+        # screen's is one entry of a BLAS matrix product, a dot in some order and perhaps with FMA. Each
+        # sum is within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds
+        # by P sqrt(vx vy) up to 1 + O(P u) from rounding vx and vy: about P eps in r units. Dividing by P
+        # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
+        # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
+        # or overflows (_screenable). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
+        # s~_j - 2 delta for the screen's best j, so scoring, in key order, every candidate within
+        # 2 delta of the screen's best gives the exact maximum's key and score.
+        p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
+        s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
+        s[self.flat] = -1.0
+        tol = 2.0 * (p + 4) * np.finfo(np.float64).eps
+        bands = {i: np.flatnonzero(s[:, j] >= s[:, j].max() - tol) for j, i in enumerate(screened.tolist())}
+        results = []
+        for i in range(len(queries)):
+            band = bands.get(i, range(len(self.keys)))  # unscreened: a flat query, or the screen cannot bound it
+            flat = self.flat | (vq[i] == 0.0)  # pcc raises ZeroVarianceError: the pair scores -1
+            scores = [-1.0 if flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
+            results.append(self._first_max(band, scores))
+        return results

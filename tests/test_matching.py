@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -35,15 +36,15 @@ from patchpair import (
 )
 from patchpair.matching import (
     FingerprintMismatchWarning,
-    _Candidates,
     _hr_windows,
     _ref_to_json,
     _slices,
     manifest_to_bytes,
 )
-from patchpair.similarity import _centred_rows
+from patchpair.similarity import _Candidates, _centred_rows, _screenable
 from .oracles import argmax, centred, manifest_tuples, ref_to_json_dict, screenable, triple_loop_exhaustive
 
+scoring = importlib.import_module("patchpair.similarity")  # the package binds patchpair.similarity to the function
 SMALL_CFG = MatchConfig(patch_size=16, stride=16, hist=HistogramSpec(bins=16))
 
 
@@ -298,13 +299,40 @@ class TestCentredRows:
     @given(image_stacks())
     @settings(max_examples=150, deadline=None)
     def test_rows_equal_centred_and_mask_equals_screenable(self, images):
-        d, v, mask = _centred_rows(images)
+        d, v = _centred_rows(images)
+        mask = _screenable(d)
         assert d.shape == (len(images), images[0].size) and d.dtype == np.float64
         for k, img in enumerate(images):
             dk, vk = centred(img)
             assert np.array_equal(d[k].view(np.int64), dk.view(np.int64))
             assert float(v[k]).hex() == vk.hex()
             assert mask[k] == screenable(dk)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("block", [1, 99, 150, scoring._REDUCE_BLOCK])
+    def test_every_block_boundary_matches_oracles(self, monkeypatch, block):
+        # 49-px rows: block 1 takes one row per block, 99 and 150 take 2 and 3 with a short last block;
+        # 65,792-px rows outgrow every block, the default included
+        monkeypatch.setattr(scoring, "_REDUCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for shape, n in (((7, 7), 8), ((256, 257), 3)):
+            images = [rng.random(shape) for _ in range(n)]
+            images[1][...] = 0.5  # flat: PCC scores -1
+            images[-1] = images[0].copy()  # a tie, settled by the smaller key
+            rows = images + [images[0] * 2.0**-401, images[0] * 1e-160]  # the last two are unscreenable
+            d, v = _centred_rows(rows)
+            mask = _screenable(d)
+            for k, img in enumerate(rows):
+                dk, vk = centred(img)
+                assert np.array_equal(d[k].view(np.int64), dk.view(np.int64)) and float(v[k]).hex() == vk.hex()
+                assert mask[k] == screenable(dk) == (k < n)
+            queries = [images[0] * 0.5 + 0.1, rng.random(shape), np.full(shape, 0.25), images[2] * 1e-160]
+            candidates = list(enumerate(images))
+            for metric in (SimilarityKind.PCC, SimilarityKind.RBF):
+                cfg = MatchConfig(metric=metric)
+                got = _Candidates(candidates, cfg).best_many(queries)
+                assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
 
 
 class TestFingerprint:

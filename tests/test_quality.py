@@ -66,6 +66,15 @@ class TestPsnr:
         x = rng.random((6, 6))
         assert psnr(x, x) == math.inf
 
+    def test_extreme_ratio_is_finite(self):
+        # peak / rmse overflows to inf for a difference of 5e-324, and underflows to 0 for a peak of 5e-324
+        x = np.zeros((8, 8))
+        y = x.copy()
+        y[0, 0] = math.ulp(0.0)
+        assert 6000.0 < psnr(y, x, peak=1.0) < math.inf
+        assert psnr(x, x, peak=1.0) == math.inf
+        assert -math.inf < psnr(np.full((4, 4), 10.0), np.zeros((4, 4)), peak=math.ulp(0.0)) < -6000.0
+
     def test_peak_override(self):
         y = np.full((4, 4), 0.5)
         x = y - 0.1
