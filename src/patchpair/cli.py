@@ -108,6 +108,8 @@ def cmd_match(parser, args) -> int:
 
 def cmd_stats(parser, args) -> int:
     manifest = matching.read_manifest(args.manifest)
+    if not manifest.records:  # a header-only manifest, as match --filter leaves when nothing passes
+        raise ValueError(f"{args.manifest}: no records")
     stats = matching.weight_stats(manifest, bins=args.bins)
     with open(args.csv, "w") as f:
         f.write("bin_lo,bin_hi,count\n")
@@ -200,11 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hr", required=True, help="directory of HR volumes")
     p.add_argument("--out", required=True, help="manifest output path")
     p.add_argument("--metric", choices=[k.value for k in SimilarityKind], default="nmi")
-    p.add_argument(
-        "--levels",
-        choices=["hierarchical", "slice-patch", "patch-only", "exhaustive"],
-        default="hierarchical",
-    )
+    levels = [lv.value for lv in matching.MatchLevels] + ["exhaustive"]  # exhaustive: patch-only by another name
+    p.add_argument("--levels", choices=levels, default="hierarchical")
     p.add_argument("--patch-size", type=_positive_int, default=128)
     p.add_argument("--stride", type=_positive_int, default=64)
     p.add_argument("--bins", type=_positive_int, default=64)
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="PSNR/SSIM/RMSE between two volume directories")
     p.add_argument("--reference", required=True)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--ssim-mode", choices=["global", "windowed"], default="global")
+    p.add_argument("--ssim-mode", choices=[m.value for m in quality.SsimMode], default="global")
     p.add_argument("--window", type=_positive_int, default=8)
     p.set_defaults(func=cmd_metrics)
 

@@ -138,15 +138,10 @@ def patch_grid(h: int, w: int, size: int, stride: int):
     return [(r, c) for r in rows for c in cols]
 
 
-def _windows(img: np.ndarray, grid, size: int):
-    """((row, col), view) of the size x size window of img at each grid position."""
-    return [((r, c), img[r : r + size, c : c + size]) for r, c in grid]
-
-
-def _hr_windows(hr_vol: Volume, slices, grid, size: int):
-    """(PatchRef, view) of each grid window of each of hr_vol's slices."""
-    pid = hr_vol.patient_id
-    return [(PatchRef(pid, i, r, c, size), win) for i in slices for (r, c), win in _windows(hr_vol.data[i], grid, size)]
+def _windows(vol: Volume, slices, grid, size: int):
+    """(PatchRef, view) of the size x size window at each grid position of each of vol's given slices."""
+    pid = vol.patient_id
+    return [(PatchRef(pid, i, r, c, size), vol.data[i, r : r + size, c : c + size]) for i in slices for r, c in grid]
 
 
 def _mean_image(vol: Volume) -> np.ndarray:
@@ -154,16 +149,13 @@ def _mean_image(vol: Volume) -> np.ndarray:
 
 
 def _slices(hr_vol: Volume):
-    return [((hr_vol.patient_id, i), img) for i, img in enumerate(hr_vol.data)]
+    return [((hr_vol, i), img) for i, img in enumerate(hr_vol.data)]
 
 
 def _patch_records(lr_vol: Volume, slices, windows: _Candidates, grid, cfg: MatchConfig):
     """One record per grid patch of each of lr_vol's slices, matched to its best HR window."""
-    patches = [(s, r, c, patch) for s in slices for (r, c), patch in _windows(lr_vol.data[s], grid, cfg.patch_size)]
-    return [
-        MatchRecord(PatchRef(lr_vol.patient_id, s, r, c, cfg.patch_size), ref, to_weight(cfg.metric, best))
-        for (s, r, c, _), (ref, best) in zip(patches, windows.best_many(patch for *_, patch in patches))
-    ]
+    refs, views = zip(*_windows(lr_vol, slices, grid, cfg.patch_size))
+    return [MatchRecord(lr, hr, to_weight(cfg.metric, best)) for lr, (hr, best) in zip(refs, windows.best_many(views))]
 
 
 def _validate_sets(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig):
@@ -189,12 +181,12 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
     grid = patch_grid(h, w, size, cfg.stride)
     # each level's candidates are prepared for the queries that use them, then dropped
     if cfg.levels is MatchLevels.HIERARCHICAL:
-        hr_means = [(v.patient_id, _mean_image(v)) for v in hr_set.volumes]
+        hr_means = [(v, _mean_image(v)) for v in hr_set.volumes]
         patients = _Candidates(hr_means, cfg).best_many(_mean_image(v) for v in lr_set.volumes)
     elif cfg.levels is MatchLevels.SLICE_AND_PATCH:  # best slice across every HR patient
         slices = _Candidates([s for v in hr_set.volumes for s in _slices(v)], cfg)
     else:  # PATCH_ONLY: best window across every HR slice
-        windows = _Candidates([win for v in hr_set.volumes for win in _hr_windows(v, range(v.n_slices), grid, size)], cfg)
+        windows = _Candidates([win for v in hr_set.volumes for win in _windows(v, range(v.n_slices), grid, size)], cfg)
 
     records = []
     for i, lr_vol in enumerate(lr_set.volumes):
@@ -202,9 +194,9 @@ def match_hierarchical(lr_set: Dataset, hr_set: Dataset, cfg: MatchConfig) -> Ma
             records += _patch_records(lr_vol, range(lr_vol.n_slices), windows, grid, cfg)
             continue
         if cfg.levels is MatchLevels.HIERARCHICAL:
-            slices = _Candidates(_slices(hr_set.volume(patients[i][0])), cfg)
-        for s_idx, ((h_pid, h_idx), _) in enumerate(slices.best_many(lr_vol.data)):
-            windows = _Candidates(_hr_windows(hr_set.volume(h_pid), [h_idx], grid, size), cfg)
+            slices = _Candidates(_slices(patients[i][0]), cfg)
+        for s_idx, ((hr_vol, h_idx), _) in enumerate(slices.best_many(lr_vol.data)):
+            windows = _Candidates(_windows(hr_vol, [h_idx], grid, size), cfg)
             records += _patch_records(lr_vol, [s_idx], windows, grid, cfg)
     return Manifest(records, cfg, dataset_fingerprint(lr_set), dataset_fingerprint(hr_set))
 

@@ -57,9 +57,12 @@ def _pair(y, x):
 def rmse(y: np.ndarray, x: np.ndarray) -> float:
     """Root mean square error sqrt(mean((y - x)^2)), 0 only for identical images."""
     y, x = _pair(y, x)
-    d = y - x
+    with np.errstate(over="ignore"):
+        d = y - x
     # scaled by m = max|y - x| so that no square underflows; a result below the least subnormal rounds up to it
     m = float(np.abs(d).max())
+    if m == math.inf:  # y - x overflowed; halving every normal value is exact
+        return 2.0 * rmse(y * 0.5, x * 0.5)
     return max(m * math.sqrt(float(((d / m) ** 2).mean())), math.ulp(0.0)) if m > 0 else 0.0
 
 

@@ -157,7 +157,11 @@ def _centred_rows(images):
 
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
-    (dx, dy), (vx, vy) = _centred_rows(require_pair(x, y))
+    x, y = require_pair(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (dx, dy), (vx, vy) = _centred_rows((x, y))
+    if not (math.isfinite(vx) and math.isfinite(vy)):  # float64 deviations past ~1.3e154: rescale, PCC is scale-free
+        return pcc(*(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y)))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
     return _pcc_centred(dx, vx, dy, vy)

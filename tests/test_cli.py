@@ -198,7 +198,7 @@ class TestStats:
         write_manifest(empty, path)
         code, _, err = run(capsys, "stats", "--manifest", str(path), "--csv", str(tmp_path / "h.csv"))
         assert code == 1
-        assert "no records" in err
+        assert err == f"error: {path}: no records\n"
 
 
     @pytest.mark.parametrize("edit", ["swap", "repeat", "size", "float-row"])

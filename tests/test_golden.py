@@ -4,11 +4,13 @@
 per record, in LR order, for the hierarchical and slice-patch levels on the
 acceptance suite's data; the refs must stay identical and the weights within
 1e-15. ``tests/golden/manifests.json`` holds the SHA-256 of ``manifest_to_bytes``
-for every metric at every level on a small seeded pair; those bytes must not
-change at all. ``tests/golden/resample.json`` holds, per seeded 64-px phantom
-slice and per resampling output, ``[sum, sum of squares, ramp-weighted sum, min,
-max]``; each must stay within 1e-12 (relative above 1). Regenerate all three
-(only from a commit whose outputs are the reference) with::
+for every metric at every level on a small seeded pair with 32-px patches, and
+``tests/golden/manifests256.json`` the same on a 256-px pair at the CLI's
+default 128-px patches and stride 64; those bytes must not change at all.
+``tests/golden/resample.json`` holds, per seeded 64-px phantom slice and per
+resampling output, ``[sum, sum of squares, ramp-weighted sum, min, max]``; each
+must stay within 1e-12 (relative above 1). Regenerate all four (only from a
+commit whose outputs are the reference) with::
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -37,7 +39,11 @@ from patchpair.matching import manifest_to_bytes
 
 GOLDEN = Path(__file__).with_name("golden") / "suite9.json"
 GOLDEN_RESAMPLE = GOLDEN.with_name("resample.json")
-GOLDEN_MANIFESTS = GOLDEN.with_name("manifests.json")
+# golden file -> (phantom pair spec, patch size, stride) of its manifest digests
+MANIFEST_CASES = {
+    "manifests.json": (PhantomSpec(seed=919, patients=3, slices_per_patient=4, size=64), 32, 16),
+    "manifests256.json": (PhantomSpec(seed=929, patients=2, slices_per_patient=4, size=256), 128, 64),
+}
 LEVELS = (MatchLevels.HIERARCHICAL, MatchLevels.SLICE_AND_PATCH)
 WEIGHT_TOL = 1e-15
 RESAMPLE_TOL = 1e-12
@@ -67,21 +73,33 @@ def test_suite9_manifest_matches_golden(levels):
     assert worst <= WEIGHT_TOL, f"max |dweight| = {worst!r}"
 
 
-def _manifest_digest(metric, levels):
-    hr, lr = generate_similar_pair(PhantomSpec(seed=919, patients=3, slices_per_patient=4, size=64), 0.25)
-    cfg = MatchConfig(patch_size=32, stride=16, metric=metric, levels=levels)
+def _manifest_digest(name, metric, levels):
+    spec, patch_size, stride = MANIFEST_CASES[name]
+    hr, lr = generate_similar_pair(spec, 0.25)
+    cfg = MatchConfig(patch_size=patch_size, stride=stride, metric=metric, levels=levels)
     return hashlib.sha256(manifest_to_bytes(match_hierarchical(lr, hr, cfg))).hexdigest()
 
 
-def _manifest_digests():
-    return {f"{m.value}/{lv.value}": _manifest_digest(m, lv) for m in SimilarityKind for lv in MatchLevels}
+def _manifest_digests(name):
+    return {f"{m.value}/{lv.value}": _manifest_digest(name, m, lv) for m in SimilarityKind for lv in MatchLevels}
+
+
+def _check_manifest_digest(name, metric, levels):
+    want = json.loads(GOLDEN.with_name(name).read_text())[f"{metric.value}/{levels.value}"]
+    assert _manifest_digest(name, metric, levels) == want
 
 
 @pytest.mark.parametrize("levels", MatchLevels, ids=lambda lv: lv.value)
 @pytest.mark.parametrize("metric", SimilarityKind, ids=lambda m: m.value)
 def test_manifest_bytes_match_golden(metric, levels):
-    want = json.loads(GOLDEN_MANIFESTS.read_text())[f"{metric.value}/{levels.value}"]
-    assert _manifest_digest(metric, levels) == want
+    _check_manifest_digest("manifests.json", metric, levels)
+
+
+@pytest.mark.parametrize("levels", MatchLevels, ids=lambda lv: lv.value)
+@pytest.mark.parametrize("metric", SimilarityKind, ids=lambda m: m.value)
+def test_manifest_bytes_at_default_patch_size_match_golden(metric, levels):
+    # 16,384-px patches: RBF scores several rows per _REDUCE_BLOCK block, NMI takes _plogp_table(16384)
+    _check_manifest_digest("manifests256.json", metric, levels)
 
 
 def _summary(img):
@@ -108,4 +126,5 @@ if __name__ == "__main__":
     # json writes each float with repr, so the weights round-trip exactly
     GOLDEN.write_text(json.dumps({lv.value: _records(lv) for lv in LEVELS}) + "\n")
     GOLDEN_RESAMPLE.write_text(json.dumps({name: _resampled(name) for name in RESAMPLINGS}) + "\n")
-    GOLDEN_MANIFESTS.write_text(json.dumps(_manifest_digests(), indent=1) + "\n")
+    for name in MANIFEST_CASES:
+        GOLDEN.with_name(name).write_text(json.dumps(_manifest_digests(name), indent=1) + "\n")

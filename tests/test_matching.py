@@ -36,9 +36,9 @@ from patchpair import (
 )
 from patchpair.matching import (
     FingerprintMismatchWarning,
-    _hr_windows,
     _ref_to_json,
     _slices,
+    _windows,
     manifest_to_bytes,
 )
 from patchpair.similarity import _Candidates, _centred_rows, _screenable
@@ -99,7 +99,7 @@ def best_window(query, hr_vol, slice_index, cfg):
     """The patch level: (PatchRef, weight) of the best grid window of hr_vol's slice for the query."""
     size = query.shape[0]
     grid = patch_grid(hr_vol.height, hr_vol.width, size, cfg.stride)
-    ref, score = _Candidates(_hr_windows(hr_vol, [slice_index], grid, size), cfg).best_many([query])[0]
+    ref, score = _Candidates(_windows(hr_vol, [slice_index], grid, size), cfg).best_many([query])[0]
     return ref, to_weight(cfg.metric, score)
 
 

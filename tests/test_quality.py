@@ -43,6 +43,15 @@ class TestRmse:
         y[0, 0] = math.ulp(0.0)
         assert rmse(y, x) == rmse(x, y) == math.ulp(0.0)
 
+    def test_difference_past_the_float64_maximum(self):
+        # y - x overflows to inf for 1e308 - (-1e308); pytest turns its warning into an error
+        y, x = np.zeros((2, 2)), np.zeros((2, 2))
+        y[0, 0], x[0, 0] = 1e308, -1e308
+        assert rmse(y, x) == rmse(x, y) == 1e308
+        assert psnr(y, x) == 0.0
+        # the exact RMSE, 2e308, exceeds the float64 maximum
+        assert rmse(np.full((2, 2), 1e308), np.full((2, 2), -1e308)) == math.inf
+
     @given(unit_images, unit_images, unit_images)
     @settings(max_examples=50, deadline=None)
     def test_metric_properties(self, a, b, c):

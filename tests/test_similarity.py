@@ -183,6 +183,14 @@ class TestPcc:
         with pytest.raises(ZeroVarianceError, match="zero variance"):
             pcc(np.arange(4.0).reshape(2, 2), np.full((2, 2), 3.0))
 
+    def test_deviations_past_the_square_overflow(self):
+        # a float64 mean square overflows once a deviation passes about 1.3e154; pytest turns its warning into an error
+        x, y = np.array([[1e308, -1e308]]), np.array([[1.0, 2.0]])
+        assert pcc(x, y) == pcc(y, x) == -1.0
+        assert pcc(np.array([[1e308, 0.0, 5e307]]), np.array([[1.0, 0.0, 0.5]])) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ZeroVarianceError, match="zero variance"):
+            pcc(np.full((2, 2), 1e308), np.arange(4.0).reshape(2, 2))
+
     @given(varied_patches, st.floats(0.1, 50), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_affine_invariance(self, x, a, b):
