@@ -78,6 +78,8 @@ def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
     p = float(np.max(y)) if peak is None else float(peak)
     if not p > 0:
         raise ValueError(f"PSNR needs a positive peak, got {p}")
+    if e == math.inf:  # the RMSE itself overflowed: take the logarithms from rmse's halved images
+        return 20.0 * (math.log10(p) - math.log10(rmse(*(a * 0.5 for a in _pair(y, x)))) - math.log10(2.0))
     q = p / e  # overflows to inf, or underflows to 0, only at extreme ratios: then take the logarithms apart
     return 20.0 * (math.log10(q) if 0.0 < q < math.inf else math.log10(p) - math.log10(e))
 

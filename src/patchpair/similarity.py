@@ -164,11 +164,6 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
         return pcc(*(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y)))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
-    return _pcc_centred(dx, vx, dy, vy)
-
-
-def _pcc_centred(dx: np.ndarray, vx: float, dy: np.ndarray, vy: float) -> float:
-    """pcc from two images' ``_centred_rows`` deviations and nonzero mean squares."""
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
     return min(max(r, -1.0), 1.0)
 
@@ -213,8 +208,13 @@ def to_weight(kind: SimilarityKind, score: float) -> float:
 def _screenable(d: np.ndarray) -> np.ndarray:
     """Per row of centred deviations d: whether every nonzero |d| lies in [2**-400, 2**400], so that no
     product of two deviations underflows or overflows and the PCC screen's bound in _Candidates holds."""
-    tiny = (d > -(2.0**-400)) & (d < 2.0**-400) & (d != 0.0)
-    return ~tiny.any(axis=1) & (np.maximum(d.max(axis=1), -d.min(axis=1)) <= 2.0**400)
+    n, p = d.shape
+    ok, k = np.empty(n, dtype=bool), max(1, _REDUCE_BLOCK // p)
+    a = np.empty((min(k, n), p))  # one |d| buffer for every block of rows
+    for lo in range(0, n, k):
+        b = np.abs(d[lo : lo + k], out=a[: n - lo])
+        ok[lo : lo + k] = ~((b > 0.0) & (b < 2.0**-400)).any(axis=1) & (b.max(axis=1) <= 2.0**400)
+    return ok
 
 
 class _Candidates:
@@ -240,9 +240,9 @@ class _Candidates:
             self.codes = [_codes(img, cfg.hist) for img in images]
             self.entropies = [_code_entropy(c) for c in self.codes]
         elif cfg.metric is SimilarityKind.PCC:
-            self.d, self.v = _centred_rows(images)
-            self.flat = self.v == 0.0
-            self.sy = np.sqrt(np.where(self.flat, 1.0, self.v))
+            self.d, v = _centred_rows(images)
+            self.flat = v == 0.0
+            self.sy = np.sqrt(np.where(self.flat, 1.0, v))
             self.screenable = bool(_screenable(self.d).all())
         else:
             self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
@@ -253,12 +253,11 @@ class _Candidates:
             cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
             return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
         scores = self._nmi_scores if self.cfg.metric is SimilarityKind.NMI else self._rbf_scores
-        every = range(len(self.keys))
-        return [self._first_max(every, scores(query)) for query in queries]
+        return [self._first_max(scores(query)) for query in queries]
 
-    def _first_max(self, band, scores):  # scores of the candidates in band, in key order
+    def _first_max(self, scores):  # one query's scores in key order
         k = int(np.argmax(scores))  # the first maximum: ties go to the smallest key
-        return self.keys[band[k]], float(scores[k])
+        return self.keys[k], float(scores[k])
 
     def _nmi_scores(self, query: np.ndarray):
         bx = _codes(query, self.cfg.hist)
@@ -290,11 +289,33 @@ class _Candidates:
         s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
         s[self.flat] = -1.0
         tol = 2.0 * (p + 4) * np.finfo(np.float64).eps
-        bands = {i: np.flatnonzero(s[:, j] >= s[:, j].max() - tol) for j, i in enumerate(screened.tolist())}
-        results = []
-        for i in range(len(queries)):
-            band = bands.get(i, range(len(self.keys)))  # unscreened: a flat query, or the screen cannot bound it
-            flat = self.flat | (vq[i] == 0.0)  # pcc raises ZeroVarianceError: the pair scores -1
-            scores = [-1.0 if flat[k] else _pcc_centred(dq[i], vq[i], self.d[k], self.v[k]) for k in band]
-            results.append(self._first_max(band, scores))
-        return results
+        band = np.ones((len(queries), len(self.keys)), dtype=bool)  # unscreened: flat, or the screen cannot bound it
+        band[screened] = (s >= s.max(axis=0) - tol).T
+        flat = band & (self.flat | (vq == 0.0)[:, None])  # pcc raises ZeroVarianceError: such a pair scores -1.0
+        best = np.where(flat.any(axis=1), -1.0, -np.inf)  # each query's first maximum so far, and its key
+        first = flat.argmax(axis=1)
+        band &= ~flat
+        del s, flat
+        # Score the other band pairs exactly, in (query, key) order and m pairs at a time: one reused block
+        # of about _REDUCE_BLOCK elements holds a block's query rows and candidate rows, and np.add.reduce
+        # over each contiguous row of their products is numpy's pairwise sum, as pcc's mean. np.nonzero
+        # lists the pairs of a group of queries whose bands end within m pairs of each other (a group may be
+        # empty), so no index array outgrows m + candidates.
+        m = max(1, _REDUCE_BLOCK // (2 * p))
+        ends = np.cumsum(band.sum(axis=1))
+        cuts = np.searchsorted(ends, np.arange(m, ends[-1] + m, m), side="right")
+        buf, sq = np.empty((2, min(m, ends[-1]), p)), np.sqrt(vq)
+        for a, b in zip([0, *cuts[:-1]], cuts):
+            rows, cols = np.nonzero(band[a:b])
+            for lo in range(0, rows.size, m):
+                q, c = rows[lo : lo + m] + a, cols[lo : lo + m]
+                g = np.take(dq, q, axis=0, out=buf[0, : q.size], mode="clip")  # "clip" takes straight into out
+                g *= np.take(self.d, c, axis=0, out=buf[1, : q.size], mode="clip")
+                r = np.add.reduce(g, axis=1) / p / (sq[q] * self.sy[c])
+                r = np.minimum(np.maximum(r, -1.0, out=r), 1.0, out=r)
+                lead = np.concatenate(([True], q[1:] != q[:-1]))
+                win = np.lexsort((-r, q))[lead]  # each query's first maximum here: a stable sort keeps key order
+                q, c, r = q[win], c[win], r[win]
+                up = (r > best[q]) | ((r == best[q]) & (c < first[q]))  # ties go to the smaller key
+                best[q[up]], first[q[up]] = r[up], c[up]
+        return [(self.keys[i], score) for i, score in zip(first.tolist(), best.tolist())]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,51 @@ class TestBlockBoundaries:
                 cfg = MatchConfig(metric=metric)
                 got = _Candidates(candidates, cfg).best_many(queries)
                 assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+
+
+class TestPccBandRescore:
+    @pytest.mark.parametrize("block", [1, 64, 96, scoring._REDUCE_BLOCK])
+    def test_several_member_bands_across_blocks_match_oracle(self, monkeypatch, block):
+        # 16-px rows, two per pair: blocks 1, 64 and 96 hold 1, 2 and 3 pairs, so a band of duplicates and affine copies
+        # (PCC 1 up to rounding, all within the screen's rounding band) spans two or more blocks
+        monkeypatch.setattr(scoring, "_REDUCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        base = [rng.random((4, 4)) for _ in range(4)]
+        images = [base[0], base[1], 2.0 * base[2] + 1.0, np.full((4, 4), 0.3), base[2].copy(), base[3],
+                  base[2] * 0.5 - 0.25, base[2].copy(), 3.0 * base[0] - 1.0, base[0].copy()]
+        queries = [base[2], rng.random((4, 4)), np.full((4, 4), 0.5), 0.5 * base[0] + 0.1, base[2] * 1e-160,
+                   -base[3], base[2] * 4.0 + 2.0, rng.random((4, 4)) * 1e-160, base[1]]
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        # with one candidate at 1e-160 the stack is unscreenable: every band holds all ten candidates
+        for tiny_candidate in (False, True):
+            candidates = list(enumerate(images[:-1] + [images[-1] * (1e-160 if tiny_candidate else 1.0)]))
+            got = _Candidates(candidates, cfg).best_many(queries)
+            assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+            assert got[2] == (0, -1.0)  # a flat query scores -1 against every candidate: the first key wins
+
+    def test_unscreenable_full_chunk_stays_within_readme_bound(self):
+        # README: besides the stack, a chunk holds its centred queries and screened scores in float64,
+        # a band mask of one byte per pair, and one block of _REDUCE_BLOCK float64 for the exact re-score
+        rng = np.random.default_rng(12)
+        n, side = 2048, 8
+        images = [rng.random((side, side)) for _ in range(n)]
+        images[7] = images[7] * 1e-160
+        prepared = _Candidates(list(enumerate(images)), MatchConfig(metric=SimilarityKind.PCC))
+        assert not prepared.screenable
+        chunk = min(n, side * side)  # the cap: every pair of the chunk lies in the band
+        queries = [rng.random((side, side)) for _ in range(chunk)]
+        prepared.best_many(queries[:2])  # numpy's first calls allocate caches of their own
+        tracemalloc.start()
+        try:
+            got = prepared.best_many(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (chunk * side * side + n * chunk) + n * chunk + 8 * scoring._REDUCE_BLOCK
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+        candidates = list(enumerate(images))
+        for i in (0, chunk - 1):
+            assert result_bits([got[i]]) == result_bits([argmax(queries[i], candidates, prepared.cfg)])
 
 
 class TestFingerprint:

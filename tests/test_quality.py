@@ -84,6 +84,15 @@ class TestPsnr:
         assert psnr(x, x, peak=1.0) == math.inf
         assert -math.inf < psnr(np.full((4, 4), 10.0), np.zeros((4, 4)), peak=math.ulp(0.0)) < -6000.0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_rmse_is_finite(self, sign):
+        # the RMSE is 2e308, past the largest float64; 20 log10(1e308 / 2e308) = 20 log10(0.5) dB
+        y, x = np.full((2, 2), sign * 1e308), np.full((2, 2), -sign * 1e308)
+        assert rmse(y, x) == math.inf
+        assert psnr(y, x, peak=1e308) == pytest.approx(20.0 * math.log10(0.5), abs=1e-12)
+        if sign > 0:  # the default peak, max(y), is the same 1e308
+            assert psnr(y, x) == psnr(y, x, peak=1e308)
+
     def test_peak_override(self):
         y = np.full((4, 4), 0.5)
         x = y - 0.1
