@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 VALID_LABELS = ("LR", "HR")
-# float64 elements per block: items in losses._mean_abs; rows in similarity._centred_rows, _screenable and
+# float64 elements per block: items in losses._mean_abs; rows in similarity._centred_rows and
 # _Candidates._rbf_scores; (query, candidate) pairs in _Candidates._best_pcc
 _REDUCE_BLOCK = 1 << 16
 

@@ -17,6 +17,7 @@ from .imgvol import require_pair
 
 # SSIM constants K1, K2 and dynamic range L: C1 = (K1 * L)**2, C2 = (K2 * L)**2
 _K1, _K2, _DYNAMIC_RANGE = 0.01, 0.03, 1.0
+_C1, _C2 = (_K1 * _DYNAMIC_RANGE) ** 2, (_K2 * _DYNAMIC_RANGE) ** 2
 
 
 class SsimMode(Enum):
@@ -32,14 +33,6 @@ class SsimParams:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-
-    @property
-    def c1(self) -> float:
-        return (_K1 * _DYNAMIC_RANGE) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (_K2 * _DYNAMIC_RANGE) ** 2
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
     return 20.0 * (math.log10(q) if 0.0 < q < math.inf else math.log10(p) - math.log10(e))
 
 
-def _ssim_one(x: np.ndarray, y: np.ndarray, c1: float, c2: float) -> np.ndarray:
+def _ssim_one(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SSIM of each tile in a (..., n) stack of flattened tiles."""
     mx = x.mean(axis=-1)
     my = y.mean(axis=-1)
@@ -93,8 +86,8 @@ def _ssim_one(x: np.ndarray, y: np.ndarray, c1: float, c2: float) -> np.ndarray:
     vx = (dx * dx).mean(axis=-1)
     vy = (dy * dy).mean(axis=-1)
     cov = (dx * dy).mean(axis=-1)
-    num = (2.0 * mx * my + c1) * (2.0 * cov + c2)
-    den = (mx * mx + my * my + c1) * (vx + vy + c2)
+    num = (2.0 * mx * my + _C1) * (2.0 * cov + _C2)
+    den = (mx * mx + my * my + _C1) * (vx + vy + _C2)
     return num / den
 
 
@@ -105,9 +98,8 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams = SsimParams()) -> flo
     non-overlapping window x window tiles (partial edge tiles are dropped).
     """
     x, y = _pair(x, y)
-    c1, c2 = params.c1, params.c2
     if params.mode is SsimMode.GLOBAL:
-        return float(_ssim_one(x.ravel(), y.ravel(), c1, c2))
+        return float(_ssim_one(x.ravel(), y.ravel()))
     h, w = x.shape
     k = params.window
     if h < k or w < k:
@@ -117,7 +109,7 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams = SsimParams()) -> flo
         img = img[: h - h % k, : w - w % k]
         return img.reshape(h // k, k, w // k, k).swapaxes(1, 2).reshape(-1, k * k)
 
-    return float(_ssim_one(tiles(x), tiles(y), c1, c2).mean())
+    return float(_ssim_one(tiles(x), tiles(y)).mean())
 
 
 def evaluate_pair(reference: np.ndarray, estimate: np.ndarray, params: SsimParams = SsimParams()) -> QualityReport:

@@ -141,16 +141,17 @@ def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> 
 
 def _centred_rows(images):
     """(d, v) of equally shaped images: row k of the (n, P) float64 stack d holds images[k]'s deviations
-    from its mean and v[k] their mean square. Rows go through in blocks of about _REDUCE_BLOCK elements,
-    so each temporary is one block; a row's mean and mean square are numpy's pairwise sums over the
-    contiguous row."""
+    from its mean and v[k] their mean square. A constant image's deviations are exact zeros, although
+    its float64 mean need not round to its value. Rows go through in blocks of about _REDUCE_BLOCK
+    elements, so each temporary is one block; a row's mean and mean square are numpy's pairwise sums
+    over the contiguous row."""
     d = np.array(images, dtype=np.float64).reshape(len(images), -1)
     n, p = d.shape
     v = np.empty(n)
     k = max(1, _REDUCE_BLOCK // p)
     for lo in range(0, n, k):
         b = d[lo : lo + k]
-        b -= b.mean(axis=1)[:, None]
+        b -= np.where(b.max(axis=1) == b.min(axis=1), b[:, 0], b.mean(axis=1))[:, None]
         v[lo : lo + k] = (b * b).mean(axis=1)
     return d, v
 
@@ -205,16 +206,7 @@ def to_weight(kind: SimilarityKind, score: float) -> float:
     return score
 
 
-def _screenable(d: np.ndarray) -> np.ndarray:
-    """Per row of centred deviations d: whether every nonzero |d| lies in [2**-400, 2**400], so that no
-    product of two deviations underflows or overflows and the PCC screen's bound in _Candidates holds."""
-    n, p = d.shape
-    ok, k = np.empty(n, dtype=bool), max(1, _REDUCE_BLOCK // p)
-    a = np.empty((min(k, n), p))  # one |d| buffer for every block of rows
-    for lo in range(0, n, k):
-        b = np.abs(d[lo : lo + k], out=a[: n - lo])
-        ok[lo : lo + k] = ~((b > 0.0) & (b < 2.0**-400)).any(axis=1) & (b.max(axis=1) <= 2.0**400)
-    return ok
+_V_MIN, _V_MAX = 2.0**-900, 2.0**700  # the mean squares of a non-flat row that PCC's screen can bound (_best_pcc)
 
 
 class _Candidates:
@@ -243,7 +235,7 @@ class _Candidates:
             self.d, v = _centred_rows(images)
             self.flat = v == 0.0
             self.sy = np.sqrt(np.where(self.flat, 1.0, v))
-            self.screenable = bool(_screenable(self.d).all())
+            self.screenable = bool((self.flat | ((v >= _V_MIN) & (v <= _V_MAX))).all())
         else:
             self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
 
@@ -275,20 +267,21 @@ class _Candidates:
 
     def _best_pcc(self, queries):
         dq, vq = _centred_rows(queries)
-        screened = np.flatnonzero(_screenable(dq) & (vq != 0.0) & self.screenable)
-        # Screen bound (u = eps / 2, P pixels). pcc's cross term is numpy's pairwise mean of dx * dy; the
-        # screen's is one entry of a BLAS matrix product, a dot in some order and perhaps with FMA. Each
-        # sum is within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds
-        # by P sqrt(vx vy) up to 1 + O(P u) from rounding vx and vy: about P eps in r units. Dividing by P
-        # and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps), and clamping does not widen the
-        # gap, so each screened score is within delta = (P + 4) eps of pcc's while no product underflows
-        # or overflows (_screenable). An exact maximiser m has s~_m >= s_m - delta >= s_j - delta >=
-        # s~_j - 2 delta for the screen's best j, so scoring, in key order, every candidate within
-        # 2 delta of the screen's best gives the exact maximum's key and score.
+        screened = np.flatnonzero((vq >= _V_MIN) & (vq <= _V_MAX) & self.screenable)
+        # Screen bound (u = eps / 2, P < 2**60 pixels, mean squares in [_V_MIN, _V_MAX]; a flat candidate scores -1).
+        # pcc's cross term is numpy's pairwise mean of dx * dy, the screen's a BLAS dot in any order, maybe with FMA.
+        # No product or partial sum overflows: |d_i| <= sqrt(P v) < 2**380. Each sum is within P u / (1 - P u) times
+        # sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds by P sqrt(vx vy) up to 1 + O(P u): about P eps
+        # in r units. A product, FMA or add that underflows, is flushed or reads a flushed subnormal loses at most
+        # 2**-1022 (1 + |dx_i| + |dy_i|) more: by Cauchy-Schwarz under 2**-120 in r units per sum, as vx, vy >= 2**-900.
+        # Dividing by P and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps); clamping does not widen the gap.
+        # So each screened score is within delta = (P + 5) eps of pcc's, and an exact maximiser m has s~_m >= s_m -
+        # delta >= s_j - delta >= s~_j - 2 delta for the screen's best j: scoring, in key order, every candidate within
+        # 2 delta of it gives the exact maximum. Non-flat float32 rows and mean images (v ~ 2**-500 ... 2**258) screen.
         p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
         s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
         s[self.flat] = -1.0
-        tol = 2.0 * (p + 4) * np.finfo(np.float64).eps
+        tol = 2.0 * (p + 5) * np.finfo(np.float64).eps
         band = np.ones((len(queries), len(self.keys)), dtype=bool)  # unscreened: flat, or the screen cannot bound it
         band[screened] = (s >= s.max(axis=0) - tol).T
         flat = band & (self.flat | (vq == 0.0)[:, None])  # pcc raises ZeroVarianceError: such a pair scores -1.0

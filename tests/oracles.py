@@ -125,17 +125,11 @@ def ref_to_json_dict(ref):
 
 
 def centred(img: np.ndarray):
-    """(d, v): the float64 deviations of img's pixels from their mean, and their mean square."""
+    """(d, v): the float64 deviations of img's pixels from their mean, and their mean square.
+    A constant image's deviations are zeros, whether or not its float64 mean rounds to its value."""
     f = img.astype(np.float64).ravel()
-    d = f - f.mean()
+    d = np.zeros_like(f) if f.max() == f.min() else f - f.mean()
     return d, float((d * d).mean())
-
-
-def screenable(d: np.ndarray) -> bool:
-    """Whether every nonzero |d| lies in [2**-400, 2**400], so that no product
-    of two deviations underflows or overflows and the screen's bound holds."""
-    a = np.abs(d[d != 0.0])
-    return a.size == 0 or (a.min() >= 2.0**-400 and a.max() <= 2.0**400)
 
 
 def principal_axis_angle(img):

@@ -42,6 +42,7 @@ from patchpair import (
 )
 from patchpair.cli import main as cli_main
 from patchpair.matching import manifest_to_bytes
+from patchpair.quality import _C1
 from .oracles import fd_check_gradients, make_fd_safe_batch, triple_loop_exhaustive
 
 
@@ -224,7 +225,7 @@ def test_criterion_8_metric_identities():
 
     params = SsimParams()
     a, b = 0.3, 0.7
-    closed_form = (2 * a * b + params.c1) / (a * a + b * b + params.c1)
+    closed_form = (2 * a * b + _C1) / (a * a + b * b + _C1)
     got = ssim(np.full((8, 8), a), np.full((8, 8), b), params)
     assert abs(got - closed_form) <= 1e-12
     _report(8, "metric identities")

@@ -42,8 +42,8 @@ from patchpair.matching import (
     _windows,
     manifest_to_bytes,
 )
-from patchpair.similarity import _Candidates, _centred_rows, _screenable
-from .oracles import argmax, centred, manifest_tuples, ref_to_json_dict, screenable, triple_loop_exhaustive
+from patchpair.similarity import _V_MAX, _V_MIN, _Candidates, _centred_rows
+from .oracles import argmax, centred, manifest_tuples, ref_to_json_dict, triple_loop_exhaustive
 
 scoring = importlib.import_module("patchpair.similarity")  # the package binds patchpair.similarity to the function
 SMALL_CFG = MatchConfig(patch_size=16, stride=16, hist=HistogramSpec(bins=16))
@@ -274,6 +274,22 @@ class TestPreparedCandidates:
         assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
         assert got[7] == (0, -1.0) and got[30][0] == 9
 
+    @pytest.mark.parametrize("shape", [(8, 8), (32, 32), (5, 7)])
+    def test_pcc_constant_float64_candidate_and_query_are_flat(self, rng, shape):
+        # P copies of 0.1 have a float64 mean other than 0.1: the image is still flat, as pcc has it
+        a = rng.random(shape)
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        candidates = [(0, a), (1, np.full(shape, 0.1)), (2, rng.random(shape))]
+        prepared = _Candidates(candidates, cfg)
+        assert prepared.flat.tolist() == [False, True, False]
+        assert _Candidates(candidates[1:2], cfg).best_many([a]) == [(1, -1.0)]
+        # beside a zero image, the constant candidate ties at -1 and loses to the first key
+        assert _Candidates([(0, np.zeros(shape)), candidates[1]], cfg).best_many([a]) == [(0, -1.0)]
+        queries = [np.full(shape, 0.1), -a, rng.random(shape)]
+        got = prepared.best_many(queries)
+        assert got[0] == (0, -1.0)
+        assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+
 
 @st.composite
 def image_stacks(draw):
@@ -299,15 +315,13 @@ def image_stacks(draw):
 class TestCentredRows:
     @given(image_stacks())
     @settings(max_examples=150, deadline=None)
-    def test_rows_equal_centred_and_mask_equals_screenable(self, images):
+    def test_rows_equal_centred(self, images):
         d, v = _centred_rows(images)
-        mask = _screenable(d)
         assert d.shape == (len(images), images[0].size) and d.dtype == np.float64
         for k, img in enumerate(images):
             dk, vk = centred(img)
             assert np.array_equal(d[k].view(np.int64), dk.view(np.int64))
             assert float(v[k]).hex() == vk.hex()
-            assert mask[k] == screenable(dk)
 
 
 class TestBlockBoundaries:
@@ -321,13 +335,11 @@ class TestBlockBoundaries:
             images = [rng.random(shape) for _ in range(n)]
             images[1][...] = 0.5  # flat: PCC scores -1
             images[-1] = images[0].copy()  # a tie, settled by the smaller key
-            rows = images + [images[0] * 2.0**-401, images[0] * 1e-160]  # the last two are unscreenable
+            rows = images + [images[0] * 2.0**-401, images[0] * 1e-160, np.full(shape, 0.1)]
             d, v = _centred_rows(rows)
-            mask = _screenable(d)
             for k, img in enumerate(rows):
                 dk, vk = centred(img)
                 assert np.array_equal(d[k].view(np.int64), dk.view(np.int64)) and float(v[k]).hex() == vk.hex()
-                assert mask[k] == screenable(dk) == (k < n)
             queries = [images[0] * 0.5 + 0.1, rng.random(shape), np.full(shape, 0.25), images[2] * 1e-160]
             candidates = list(enumerate(images))
             for metric in (SimilarityKind.PCC, SimilarityKind.RBF):
@@ -379,6 +391,99 @@ class TestPccBandRescore:
         candidates = list(enumerate(images))
         for i in (0, chunk - 1):
             assert result_bits([got[i]]) == result_bits([argmax(queries[i], candidates, prepared.cfg)])
+
+
+def _tiny_pixel_row(rng, tiny):
+    """A 4 x 4 image of +-pairs plus one tiny pixel and a 0 as its partner: its mean is tiny / 16, so the tiny
+    pixel's deviation is nonzero and far below 2**-400 while its mean square is of order 1."""
+    h = rng.random(7) - 0.5
+    return np.concatenate((h, [tiny], -h, [0.0])).reshape(4, 4)
+
+
+def _in_range(v):
+    return (v >= _V_MIN) & (v <= _V_MAX)
+
+
+class TestScreenPrecondition:
+    @pytest.mark.parametrize("block", [1, 64, 96, scoring._REDUCE_BLOCK])
+    def test_rows_with_tiny_deviations_screen_and_match_oracle(self, monkeypatch, block):
+        # every row here has a nonzero deviation below 2**-400, so a mask on single deviations would refuse it;
+        # its mean square lies in [_V_MIN, _V_MAX], so it screens. Products of deviations underflow, gradually
+        # or to 0 (1e-200 * 1e-200, 5e-310 * 0.3, 2**-421 * 1e-200).
+        monkeypatch.setattr(scoring, "_REDUCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        tiny = [_tiny_pixel_row(rng, t) for t in (1e-200, 5e-310, 1e-200, 5e-310)]
+        scaled = [rng.random((4, 4)) * 2.0**-420 for _ in range(2)]
+        images = [tiny[0], scaled[0], tiny[1], tiny[0] * 0.5, scaled[1], tiny[2], scaled[0] * 3.0, tiny[3], tiny[0].copy()]
+        queries = [tiny[0], scaled[0] * 0.5, -tiny[1], tiny[3], scaled[1], tiny[2] * 2.0**-400,
+                   _tiny_pixel_row(rng, 1e-200), np.full((4, 4), 0.1), rng.random((4, 4)) * 2.0**-420]
+        d, v = _centred_rows(images)
+        assert ((d != 0.0) & (np.abs(d) < 2.0**-400)).any(axis=1).all()
+        dq, vq = _centred_rows(queries)
+        assert ((dq != 0.0) & (np.abs(dq) < 2.0**-400)).any(axis=1).sum() == len(queries) - 1  # all but the flat one
+        assert _in_range(v).all() and (_in_range(vq) == (vq != 0.0)).all()
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        candidates = list(enumerate(images))
+        prepared = _Candidates(candidates, cfg)
+        assert prepared.screenable
+        got = prepared.best_many(queries)
+        assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+        assert got[0][0] == 0 and got[7] == (0, -1.0)
+
+    @pytest.mark.parametrize(
+        "scale, screens",
+        [(2.0**-450, True), (2.0**-451, False), (2.0**350, True), (2.0**351, False)],
+        ids=["2**-450", "2**-451", "2**350", "2**351"],
+    )
+    def test_bounds_are_inclusive(self, rng, scale, screens):
+        edge = np.array([[1.0, -1.0], [-1.0, 1.0]]) * scale  # mean 0 and mean square scale**2, exactly
+        assert _centred_rows([edge])[1][0] == scale * scale
+        images = [rng.random((2, 2)) for _ in range(4)]
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        candidates = list(enumerate(images[:2] + [edge] + images[2:]))
+        prepared = _Candidates(candidates, cfg)
+        assert prepared.screenable is screens
+        queries = [edge, -edge, images[0], images[3] * scale]
+        got = prepared.best_many(queries)
+        assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+        assert got[0][0] == 2
+
+    @pytest.mark.parametrize("scale", [2.0**-455, 2.0**356], ids=["2**-455", "2**356"])
+    def test_row_outside_the_bounds_leaves_the_stack_unscreenable(self, rng, scale):
+        images = [rng.random((4, 4)) for _ in range(6)]
+        images[4] = images[4] * scale  # a mean square below 2**-900 or above 2**700
+        assert not _in_range(_centred_rows([images[4]])[1]).any()
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        candidates = list(enumerate(images))
+        prepared = _Candidates(candidates, cfg)
+        assert not prepared.screenable
+        queries = [images[1], images[4], images[2] * scale, rng.random((4, 4))]
+        got = prepared.best_many(queries)
+        assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
+        assert [key for key, _ in got[:3]] == [1, 4, 2]
+
+    def test_random_stacks_of_tiny_and_scaled_rows_match_oracle(self):
+        rng = np.random.default_rng(19)
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        refused = 0
+        for _ in range(150):
+            rows = []
+            for kind in rng.integers(0, 4, size=10):
+                if kind == 0:
+                    img = _tiny_pixel_row(rng, rng.choice([1e-200, 5e-310, 1e-320]))
+                elif kind == 1:
+                    img = rng.random((4, 4)) * 2.0 ** float(rng.integers(-440, -379))
+                elif kind == 2:
+                    img = rows[rng.integers(len(rows))] * rng.choice([1.0, -2.0, 0.5]) if rows else rng.random((4, 4))
+                else:
+                    img = rng.random((4, 4))
+                rows.append(img)
+            candidates = list(enumerate(rows[:6]))
+            d, _ = _centred_rows(rows[:6])
+            refused += bool(((d != 0.0) & (np.abs(d) < 2.0**-400)).any())
+            got = _Candidates(candidates, cfg).best_many(rows[6:])
+            assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in rows[6:]])
+        assert refused > 50
 
 
 class TestFingerprint:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from patchpair import SsimMode, SsimParams, evaluate_pair, psnr, rmse, ssim
+from patchpair.quality import _C1
 
 unit_images = hnp.arrays(np.float64, (8, 8), elements=st.floats(0.0, 1.0, allow_nan=False))
 
@@ -123,7 +124,7 @@ class TestSsim:
     def test_constant_vs_constant_closed_form(self):
         p = SsimParams()
         for a, b in ((0.2, 0.8), (0.1, 0.1), (0.0, 1.0)):
-            expected = (2 * a * b + p.c1) / (a * a + b * b + p.c1)
+            expected = (2 * a * b + _C1) / (a * a + b * b + _C1)
             got = ssim(np.full((5, 5), a), np.full((5, 5), b), p)
             assert got == pytest.approx(expected, abs=1e-12)
 

@@ -183,6 +183,15 @@ class TestPcc:
         with pytest.raises(ZeroVarianceError, match="zero variance"):
             pcc(np.arange(4.0).reshape(2, 2), np.full((2, 2), 3.0))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (32, 32), (5, 7)])
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1 / 3])
+    def test_constant_float64_image_is_flat(self, rng, shape, value):
+        # the float64 mean of P copies of 0.1 need not round to 0.1; the deviations must still be exact zeros
+        x, y = np.full(shape, value), rng.random(shape)
+        for args in ((x, y), (y, x), (x, x)):
+            with pytest.raises(ZeroVarianceError, match="zero variance"):
+                pcc(*args)
+
     def test_deviations_past_the_square_overflow(self):
         # a float64 mean square overflows once a deviation passes about 1.3e154; pytest turns its warning into an error
         x, y = np.array([[1e308, -1e308]]), np.array([[1.0, 2.0]])
