@@ -158,11 +158,8 @@ def cmd_loss_eval(parser, args) -> int:
         f"lambda3={_fmt(lw.lambda3)} adv={kind.value} batch={batch.batch_size}"
     )
     print("component,value")
-    print(f"adv,{_fmt(breakdown.adv)}")
-    print(f"cyc,{_fmt(breakdown.cyc)}")
-    print(f"idt,{_fmt(breakdown.idt)}")
-    print(f"pair,{_fmt(breakdown.pair)}")
-    print(f"total,{_fmt(breakdown.total)}")
+    for name in ("adv", "cyc", "idt", "pair", "total"):
+        print(f"{name},{_fmt(getattr(breakdown, name))}")
     return 0
 
 

@@ -20,8 +20,8 @@ _REDUCE_BLOCK = 1 << 16
 
 
 def require_image(img: np.ndarray) -> np.ndarray:
-    """Validate a 2D image array: two dims, at least one pixel, all finite."""
-    arr = np.asarray(img)
+    """A new float64 copy of a 2D image, checked for two dims, at least one pixel and finite values."""
+    arr = np.array(img, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -44,7 +44,7 @@ def require_number(value, name: str):
 
 
 def require_pair(x: np.ndarray, y: np.ndarray):
-    """Validate two images with ``require_image`` and check that their shapes agree."""
+    """``require_image`` copies of two images whose shapes agree."""
     x = require_image(x)
     y = require_image(y)
     if x.shape != y.shape:
@@ -109,12 +109,6 @@ class Dataset:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate patient ids in dataset")
         object.__setattr__(self, "volumes", vols)
-
-    def volume(self, patient_id: str) -> Volume:
-        for v in self.volumes:
-            if v.patient_id == patient_id:
-                return v
-        raise KeyError(patient_id)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -36,10 +35,6 @@ class MatchLevels(Enum):
     HIERARCHICAL = "hierarchical"
     SLICE_AND_PATCH = "slice-patch"
     PATCH_ONLY = "patch-only"
-
-
-class FingerprintMismatchWarning(UserWarning):
-    """A manifest was recorded against different dataset content."""
 
 
 @dataclass(frozen=True)
@@ -268,14 +263,11 @@ def write_manifest(m: Manifest, path) -> None:
     Path(path).write_bytes(manifest_to_bytes(m))
 
 
-def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = None) -> Manifest:
+def read_manifest(path) -> Manifest:
     """Parse a manifest file; malformed lines raise with their line number.
 
     Every record's LR and HR patches have the header's patch size, and the LR
     refs strictly increase by (patient, slice, row, col): no repeats, in order.
-
-    When expected fingerprints are supplied, a mismatch emits
-    FingerprintMismatchWarning rather than failing.
     """
     path = Path(path)
     text = path.read_text()
@@ -308,8 +300,4 @@ def read_manifest(path, *, lr_fingerprint: str = None, hr_fingerprint: str = Non
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: parse error at line {n}: {e}") from e
         records.append(rec)
-    if lr_fingerprint is not None and lr_fingerprint != lr_fp:
-        warnings.warn(f"{path}: LR dataset fingerprint mismatch", FingerprintMismatchWarning)
-    if hr_fingerprint is not None and hr_fingerprint != hr_fp:
-        warnings.warn(f"{path}: HR dataset fingerprint mismatch", FingerprintMismatchWarning)
     return Manifest(records=records, config=config, lr_fingerprint=lr_fp, hr_fingerprint=hr_fp)

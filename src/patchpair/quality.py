@@ -42,14 +42,9 @@ class QualityReport:
     rmse: float
 
 
-def _pair(y, x):
-    y, x = require_pair(y, x)
-    return y.astype(np.float64), x.astype(np.float64)
-
-
 def rmse(y: np.ndarray, x: np.ndarray) -> float:
     """Root mean square error sqrt(mean((y - x)^2)), 0 only for identical images."""
-    y, x = _pair(y, x)
+    y, x = require_pair(y, x)
     with np.errstate(over="ignore"):
         d = y - x
     # scaled by m = max|y - x| so that no square underflows; a result below the least subnormal rounds up to it
@@ -72,7 +67,7 @@ def psnr(y: np.ndarray, x: np.ndarray, peak: float | None = None) -> float:
     if not p > 0:
         raise ValueError(f"PSNR needs a positive peak, got {p}")
     if e == math.inf:  # the RMSE itself overflowed: take the logarithms from rmse's halved images
-        return 20.0 * (math.log10(p) - math.log10(rmse(*(a * 0.5 for a in _pair(y, x)))) - math.log10(2.0))
+        return 20.0 * (math.log10(p) - math.log10(rmse(*(a * 0.5 for a in require_pair(y, x)))) - math.log10(2.0))
     q = p / e  # overflows to inf, or underflows to 0, only at extreme ratios: then take the logarithms apart
     return 20.0 * (math.log10(q) if 0.0 < q < math.inf else math.log10(p) - math.log10(e))
 
@@ -97,7 +92,7 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams = SsimParams()) -> flo
     Global mode evaluates the whole image once; windowed mode averages over
     non-overlapping window x window tiles (partial edge tiles are dropped).
     """
-    x, y = _pair(x, y)
+    x, y = require_pair(x, y)
     if params.mode is SsimMode.GLOBAL:
         return float(_ssim_one(x.ravel(), y.ravel()))
     h, w = x.shape

@@ -59,7 +59,7 @@ def _correlate_axis(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with reflect padding; output has the input's size."""
-    arr = require_image(img).astype(np.float64)
+    arr = require_image(img)
     taps = gaussian_kernel(sigma)
     return _correlate_axis(_correlate_axis(arr, taps, 0), taps, 1)
 
@@ -95,7 +95,7 @@ def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
 
 def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Cubic-convolution resize; the identity when output dims equal input dims."""
-    arr = require_image(img).astype(np.float64)
+    arr = require_image(img)
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be >= 1")
     if arr.shape == (out_h, out_w):
@@ -108,12 +108,11 @@ def bicubic_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def degrade(img: np.ndarray, params: DegradeParams = DegradeParams()) -> np.ndarray:
     """Resolution-degradation model: Gaussian blur, bicubic down by the scale
     factor, bicubic back up to the original size, clamped to [0, 1]."""
-    arr = require_image(img)
-    h, w = arr.shape
+    out = gaussian_blur(img, params.sigma)
+    h, w = out.shape
     f = params.scale_factor
     if h % f != 0 or w % f != 0:
         raise ValueError(f"image dims {h}x{w} not divisible by scale factor {f}")
-    out = gaussian_blur(arr, params.sigma)
     out = bicubic_resize(out, h // f, w // f)
     out = bicubic_resize(out, h, w)
     return np.clip(out, 0.0, 1.0)
@@ -168,10 +167,10 @@ def _centroid(arr: np.ndarray):
 def recenter(img: np.ndarray) -> np.ndarray:
     """Integer-pixel shift placing the intensity centroid at the grid centre;
     vacated pixels are zero-filled. Constant images pass through with a warning."""
-    arr = require_image(img).astype(np.float64)
+    arr = require_image(img)
     if float(arr.max()) == float(arr.min()):
         warnings.warn("constant image: centroid undefined, recenter skipped", DegenerateImageWarning)
-        return arr.copy()
+        return arr
     h, w = arr.shape
     ci, cj = _centroid(arr)
     dr = int(np.round((h - 1) / 2.0 - ci))
@@ -202,16 +201,16 @@ def _principal_angle(arr: np.ndarray):
 def rotation_correct(img: np.ndarray) -> np.ndarray:
     """Rotate (bicubic, about the centroid) so the principal intensity axis is
     vertical. Nearly isotropic or constant images pass through with a warning."""
-    arr = require_image(img).astype(np.float64)
+    arr = require_image(img)
     if float(arr.max()) == float(arr.min()):
         warnings.warn("constant image: rotation correction skipped", DegenerateImageWarning)
-        return arr.copy()
+        return arr
     theta, mu_rr, mu_cc, mu_rc, ci, cj = _principal_angle(arr)
     if abs(mu_rr - mu_cc) < 1e-9 and abs(mu_rc) < 1e-9:
         warnings.warn("nearly isotropic image: rotation correction skipped", DegenerateImageWarning)
-        return arr.copy()
+        return arr
     if theta == 0.0:
-        return arr.copy()
+        return arr
     h, w = arr.shape
     ii, jj = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     di = ii.ravel() - ci

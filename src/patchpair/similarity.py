@@ -172,7 +172,7 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
 def rbf(x: np.ndarray, y: np.ndarray, params: RbfParams = RbfParams()) -> float:
     """Gaussian radial-basis similarity exp(-||x - y||^2 / (2 gamma^2)) in (0, 1]."""
     x, y = require_pair(x, y)
-    d = x.astype(np.float64) - y.astype(np.float64)
+    d = x - y
     return _rbf_d2(float((d * d).sum()), x.size, params)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from patchpair import AdvKind, LossBatch, LossWeights, total_loss
 from patchpair.losses import IMAGE_ROLES, LossBreakdown, LossGradients
 from patchpair.matching import _REF_KEYS
-from patchpair.similarity import ZeroVarianceError, similarity, to_weight
+from patchpair.similarity import SimilarityKind, ZeroVarianceError, pcc, similarity, to_weight
 
 
 def direct_conv2d_reflect(img, taps):
@@ -57,11 +57,26 @@ def grid_positions(length, size, stride):
     return pos
 
 
-def _score(metric, a, b, cfg):
-    try:
-        return float(similarity(metric, a, b, hist=cfg.hist, rbf_params=cfg.rbf))
-    except ZeroVarianceError:
+def _pcc(a, b):
+    """PCC from centred's deviations and mean squares, not the library's centring; a flat side scores -1.
+    Where a mean square is not finite, the library's pcc rescales the images and scores them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        (dx, vx), (dy, vy) = centred(a), centred(b)
+    if not (math.isfinite(vx) and math.isfinite(vy)):
+        try:
+            return pcc(a, b)
+        except ZeroVarianceError:
+            return -1.0
+    if vx == 0.0 or vy == 0.0:
         return -1.0
+    r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
+    return min(max(r, -1.0), 1.0)
+
+
+def _score(metric, a, b, cfg):
+    if metric is SimilarityKind.PCC:
+        return _pcc(a, b)
+    return float(similarity(metric, a, b, hist=cfg.hist, rbf_params=cfg.rbf))
 
 
 def argmax(query, candidates, cfg):

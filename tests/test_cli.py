@@ -258,6 +258,18 @@ class TestMetrics:
         assert code == 1
         assert "P000" in err
 
+    @pytest.mark.parametrize("ref_ids, est_ids", [(["P000", "P001"], ["P000", "Q001"]), (["P000"], ["P000", "P001"])])
+    def test_other_volume_ids_are_data_error(self, tmp_path, capsys, ref_ids, est_ids):
+        for name, ids in (("ref", ref_ids), ("est", est_ids)):
+            (tmp_path / name).mkdir()
+            for pid in ids:
+                save_volume(Volume(pid, np.zeros((1, 8, 8))), tmp_path / name / f"{pid}.vol")
+        code, out, err = run(capsys, "metrics", "--reference", str(tmp_path / "ref"),
+                             "--estimate", str(tmp_path / "est"))
+        assert code == 1
+        assert out == ""
+        assert f"error: volume sets differ: {ref_ids} vs {est_ids}" in err
+
     def test_failure_prints_nothing_on_stdout(self, demo_tree, capsys):
         code, out, err = run(capsys, "metrics", "--reference", str(demo_tree / "hr"),
                              "--estimate", str(demo_tree / "lr"), "--ssim-mode", "windowed",
@@ -271,6 +283,7 @@ class TestMetrics:
     (("demo", "--out", "{out}", "--sigma", "-1"), "sigma must be positive"),
     (("demo", "--out", "{out}", "--perturbation", "-5"), "perturbation must be in [0, 1]"),
     (("demo", "--out", "{out}", "--size", "16"), "size must be >= 32"),
+    (("demo", "--out", "{out}", "--size", "66", "--factor", "4"), "--size 66 not divisible by --factor 4"),
     (("degrade", "--input", "{hr}", "--output", "{out}", "--sigma", "0"), "sigma must be positive"),
     (("loss-eval", "--batch", "{hr}", "--lambda1", "-1"), "loss weights must be nonnegative"),
     (("degrade", "--input", "{hr}", "--output", "{out}", "--sigma", "inf"), "sigma must be positive and finite"),

@@ -5,10 +5,13 @@ import pytest
 
 from patchpair import (
     Dataset,
+    PatchRef,
     Volume,
+    gaussian_blur,
     load_dataset,
     load_volume,
     normalize_volume,
+    rmse,
     save_dataset,
     save_volume,
 )
@@ -31,7 +34,7 @@ def test_dataset_unique_ids():
     with pytest.raises(ValueError):
         Dataset("XX", (v,))
     ds = Dataset("LR", (v,))
-    assert ds.volume("p") is v
+    assert ds.volumes[0] is v
 
 
 def test_dataset_needs_a_volume():
@@ -120,6 +123,34 @@ def test_missing_and_bad_headers(tmp_path):
     (tmp_path / "x.vol.json").write_text('{"patient_id": "x"}')
     with pytest.raises(ValueError):
         load_volume(path)
+
+
+@pytest.mark.parametrize("text", ["", "{", '{"patient_id": "u", "height": 2,}', "not json"])
+def test_unparsable_sidecar_names_file(tmp_path, text):
+    save_volume(Volume("u", np.zeros((1, 2, 2))), tmp_path / "u.vol")
+    hpath = tmp_path / "u.vol.json"
+    hpath.write_text(text)
+    with pytest.raises(ValueError, match=f"^unreadable sidecar header {hpath}: "):
+        load_volume(tmp_path / "u.vol")
+
+
+@pytest.mark.parametrize("check", [lambda img: rmse(img, img), lambda img: gaussian_blur(img, 1.0)],
+                         ids=["rmse", "gaussian_blur"])
+@pytest.mark.parametrize("img, message", [
+    (np.zeros((2, 3, 4)), r"expected a non-empty 2D image, got shape \(2, 3, 4\)"),
+    (np.zeros((0, 4)), r"expected a non-empty 2D image, got shape \(0, 4\)"),
+    (np.array([[0.5, np.nan], [0.1, 0.2]]), "image contains non-finite values"),
+], ids=["3-D", "empty", "nan"])
+def test_require_image_refuses(check, img, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(img)
+
+
+@pytest.mark.parametrize("fields", [(-1, 0, 0, 4), (0, -1, 0, 4), (0, 0, -1, 4), (0, 0, 0, 0)],
+                         ids=["slice", "row", "col", "size"])
+def test_patch_ref_refuses_negative_position_or_empty_size(fields):
+    with pytest.raises(ValueError, match="^invalid patch reference PatchRef"):
+        PatchRef("p", *fields)
 
 
 @pytest.mark.parametrize(

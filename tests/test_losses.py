@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -84,6 +85,11 @@ class TestBatchValidation:
         img[1, 2, 3] = (np.nan, np.inf, -np.inf)[IMAGE_ROLES.index(role) % 3]
         with pytest.raises(ValueError, match=f"^{role} contains non-finite values"):
             make_batch(rng, **{role: img})
+
+    @pytest.mark.parametrize("role", ["x", "gy"])
+    def test_two_dimensional_role_rejected(self, rng, role):
+        with pytest.raises(ValueError, match=rf"^{role} must be \(batch, h, w\), got \(4, 4\)$"):
+            make_batch(rng, **{role: rng.random((4, 4))})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_float_images_kept_without_copy(self, rng, dtype):
@@ -244,6 +250,15 @@ class TestWeightedSupervisedLoss:
         with pytest.raises(ValueError, match="length"):
             weighted_supervised_loss([rng.random((2, 2))], [], [1.0])
 
+    @pytest.mark.parametrize("preds, targets, weights, message", [
+        ([np.zeros((2, 2))], [np.zeros((2, 2))], [1.5], r"weights must lie in \[0, 1\]"),
+        ([np.zeros((2, 2))], [np.zeros((2, 2))], [-0.5], r"weights must lie in \[0, 1\]"),
+        ([np.zeros((2, 2))], [np.zeros((2, 3))], [0.5], r"shape mismatch: \(2, 2\) vs \(2, 3\)"),
+    ], ids=["above-one", "negative", "shapes"])
+    def test_weight_range_and_shapes(self, preds, targets, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weighted_supervised_loss(preds, targets, weights)
+
 
 class TestGradients:
     def test_zero_residual_batch_has_zero_image_gradients(self, rng):
@@ -389,6 +404,16 @@ class TestBatchIO:
         write_loss_batch(b, tmp_path / "batch")
         (tmp_path / "batch" / "values.json").unlink()
         with pytest.raises(FileNotFoundError, match="values"):
+            read_loss_batch(tmp_path / "batch")
+
+    @pytest.mark.parametrize("field", SCALAR_ROLES + ("w",))
+    def test_missing_values_field_named(self, tmp_path, rng, field):
+        write_loss_batch(make_batch(rng, batch=2, side=4), tmp_path / "batch")
+        vpath = tmp_path / "batch" / "values.json"
+        values = json.loads(vpath.read_text())
+        del values[field]
+        vpath.write_text(json.dumps(values))
+        with pytest.raises(ValueError, match=f"^{vpath}: missing field '{field}'$"):
             read_loss_batch(tmp_path / "batch")
 
     def test_missing_role_volume(self, tmp_path, rng):

@@ -36,7 +36,6 @@ from patchpair import (
     write_manifest,
 )
 from patchpair.matching import (
-    FingerprintMismatchWarning,
     _ref_to_json,
     _slices,
     _windows,
@@ -523,10 +522,11 @@ class TestHierarchical:
         hr, lr = tiny_pair(seed=23)
         m = match_hierarchical(lr, hr, SMALL_CFG)
         for lr_vol in lr.volumes:
-            means = [(v.patient_id, v.data.mean(axis=0, dtype=np.float64)) for v in hr.volumes]
-            pid, _ = argmax(lr_vol.data.mean(axis=0, dtype=np.float64), means, SMALL_CFG)
+            means = [(v, v.data.mean(axis=0, dtype=np.float64)) for v in hr.volumes]
+            hr_vol, _ = argmax(lr_vol.data.mean(axis=0, dtype=np.float64), means, SMALL_CFG)
+            pid = hr_vol.patient_id
             for s_idx in range(lr_vol.n_slices):
-                expected_slice = best_slice(lr_vol.data[s_idx], hr.volume(pid), SMALL_CFG)
+                expected_slice = best_slice(lr_vol.data[s_idx], hr_vol, SMALL_CFG)
                 recs = [
                     r for r in m.records
                     if r.lr.patient_id == lr_vol.patient_id and r.lr.slice_index == s_idx
@@ -771,6 +771,25 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="line 1"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header: "", "empty manifest file"),
+        (lambda header: header.replace('"patchpair-manifest/1"', '"patchpair-manifest/2"'), "bad header \\('format'\\)"),
+        (lambda header: header.replace('"format": "patchpair-manifest/1", ', ""), "bad header \\('format'\\)"),
+    ], ids=["empty", "other-format", "no-format"])
+    def test_empty_file_or_other_format_names_line_one(self, tmp_path, edit, message):
+        header = manifest_to_bytes(fabricated_manifest([])).decode()
+        assert header.startswith('{"format": "patchpair-manifest/1", ') and header.count("\n") == 1
+        path = tmp_path / "m.jsonl"
+        path.write_text(edit(header))
+        with pytest.raises(ValueError, match=f"m.jsonl: parse error at line 1: {message}"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("weight", [1.5, -0.25, float("nan")])
+    def test_record_weight_outside_unit_interval_rejected(self, weight):
+        ref = PatchRef("a", 0, 0, 0, 16)
+        with pytest.raises(ValueError, match=r"weight .* outside \[0, 1\]"):
+            MatchRecord(ref, ref, weight)
+
     def test_infinite_histogram_range_names_line_one(self, tmp_path):
         raw = manifest_to_bytes(fabricated_manifest([0.5])).decode()
         path = tmp_path / "m.jsonl"
@@ -852,12 +871,13 @@ class TestManifestIO:
         assert path.read_text().count('"weight": 0}') == path.read_text().count('"weight": 1}') == 1
         assert [r.weight for r in read_manifest(path).records] == [0.0, 1.0]
 
-    def test_fingerprint_mismatch_warns(self, tmp_path):
+    def test_manifest_carries_dataset_fingerprints(self, tmp_path):
         hr, lr = tiny_pair(seed=67, patients=1, slices=1)
         m = match_hierarchical(lr, hr, SMALL_CFG)
         path = tmp_path / "m.jsonl"
         write_manifest(m, path)
-        with pytest.warns(FingerprintMismatchWarning):
-            read_manifest(path, lr_fingerprint="sha256:other")
         assert m.lr_fingerprint == dataset_fingerprint(lr)
         assert m.hr_fingerprint == dataset_fingerprint(hr)
+        back = read_manifest(path)
+        assert (back.lr_fingerprint, back.hr_fingerprint) == (dataset_fingerprint(lr), dataset_fingerprint(hr))
+        assert dataset_fingerprint(lr) != dataset_fingerprint(hr)

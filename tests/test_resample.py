@@ -395,6 +395,76 @@ class TestRotationCorrect:
             rotation_correct(np.full((8, 8), 1.0))
 
 
+
+def copy_rule_image(kind):
+    """An 8 x 8 image for each path through the resample functions: one each for rotation_correct's three early
+    returns (constant, nearly isotropic: a centred 2 x 2 block, and theta = 0: one bright column) and a general one."""
+    if kind == "constant":
+        return np.full((8, 8), 0.3)
+    img = np.zeros((8, 8))
+    if kind == "isotropic":
+        img[3:5, 3:5] = 0.5
+    elif kind == "theta0":
+        img[:, 4] = 0.75
+    else:
+        img[1:6, 2:4] = np.linspace(0.1, 0.9, 10).reshape(5, 2)
+    return img
+
+
+def copy_rule_input(img, layout):
+    if layout == "float32":
+        return img.astype(np.float32)
+    if layout == "strided":  # a float64 view into a larger array, every other row and every third column
+        base = np.full((16, 24), 7.0)
+        base[::2, ::3] = img
+        return base[::2, ::3]
+    return img.copy()
+
+
+COPY_RULE_FUNCTIONS = {
+    "gaussian_blur": lambda img: gaussian_blur(img, 1.0),
+    "bicubic_resize": lambda img: bicubic_resize(img, *img.shape),
+    "recenter": recenter,
+    "rotation_correct": rotation_correct,
+    "degrade": lambda img: degrade(img, DegradeParams(sigma=1.0, scale_factor=2)),
+}
+
+
+class TestCopyRule:
+    @pytest.mark.parametrize("kind, message", [
+        ("constant", "constant image"),
+        ("isotropic", "nearly isotropic image"),
+    ])
+    def test_inputs_reach_rotation_corrects_warning_returns(self, kind, message):
+        with pytest.warns(DegenerateImageWarning, match=message):
+            rotation_correct(copy_rule_image(kind))
+
+    def test_theta0_input_reaches_the_unrotated_return(self):
+        img = copy_rule_image("theta0")
+        theta, mu_rr, mu_cc, mu_rc, _, _ = resample._principal_angle(img)
+        assert theta == 0.0 and mu_rr - mu_cc > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateImageWarning)
+            assert np.array_equal(rotation_correct(img), img)
+
+    @pytest.mark.parametrize("layout", ["float64", "float32", "strided"])
+    @pytest.mark.parametrize("kind", ["constant", "isotropic", "theta0", "general"])
+    @pytest.mark.parametrize("name", sorted(COPY_RULE_FUNCTIONS))
+    def test_result_is_a_new_array_and_input_is_untouched(self, name, kind, layout):
+        img = copy_rule_input(copy_rule_image(kind), layout)
+        before = img.copy()
+        base_before = None if img.base is None else img.base.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateImageWarning)
+            out = COPY_RULE_FUNCTIONS[name](img)
+        assert out is not img and not np.shares_memory(out, img)
+        assert out.dtype == np.float64 and out.shape == img.shape
+        assert np.array_equal(img, before) and img.dtype == before.dtype
+        if base_before is not None:
+            assert not np.shares_memory(out, img.base)
+            assert np.array_equal(img.base, base_before)
+
+
 class TestPreprocess:
     def test_resizes_128_and_168_to_256(self):
         for src in (128, 168):
