@@ -7,6 +7,7 @@ is plain CSV with 17-significant-digit floats so it parses back losslessly.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -163,7 +164,10 @@ def cmd_loss_eval(parser, args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each parse returns a fresh namespace, so calls share no state.
+    Only a process that calls ``main`` more than once saves anything; the console script calls it once."""
     parser = argparse.ArgumentParser(
         prog="patchpair",
         description="Build weighted LR/HR patch-pair datasets and evaluate the reference numerics.",

@@ -19,14 +19,18 @@ VALID_LABELS = ("LR", "HR")
 _REDUCE_BLOCK = 1 << 16
 
 
-def require_image(img: np.ndarray) -> np.ndarray:
-    """A new float64 copy of a 2D image, checked for two dims, at least one pixel and finite values."""
-    arr = np.array(img, dtype=np.float64)
+def _checked_image(arr: np.ndarray) -> np.ndarray:
+    """arr, a float64 array, checked for two dims, at least one pixel and finite values."""
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image contains non-finite values")
     return arr
+
+
+def require_image(img: np.ndarray) -> np.ndarray:
+    """A new float64 copy of a 2D image, checked for two dims, at least one pixel and finite values."""
+    return _checked_image(np.array(img, dtype=np.float64))
 
 
 def require_int(value, name: str) -> int:
@@ -44,9 +48,9 @@ def require_number(value, name: str):
 
 
 def require_pair(x: np.ndarray, y: np.ndarray):
-    """``require_image`` copies of two images whose shapes agree."""
-    x = require_image(x)
-    y = require_image(y)
+    """Two images whose shapes agree, as float64 arrays checked as in ``require_image``. An input that is
+    already a float64 array comes back as itself, not as a copy, so callers only read them."""
+    x, y = (_checked_image(np.asarray(a, dtype=np.float64)) for a in (x, y))
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x, y

@@ -10,8 +10,10 @@ byte-identical manifests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -225,14 +227,26 @@ def weight_stats(m: Manifest, bins: int = 20) -> MatchStats:
 _REF_KEYS = {"patient_id": "patient", "slice_index": "slice", "row": "row", "col": "col", "size": "size"}
 
 
-def _ref_to_json(ref: PatchRef) -> str:
-    """json.dumps of the ref's _REF_KEYS object, for a str patient id and int fields, without the dict."""
+def _ref_to_json(ref: PatchRef, quote=json.dumps) -> str:
+    """json.dumps of the ref's _REF_KEYS object, for a str patient id and int fields, without the dict;
+    quote(patient_id) is the id's JSON string."""
     return '{"patient": %s, "slice": %d, "row": %d, "col": %d, "size": %d}' % (
-        json.dumps(ref.patient_id), ref.slice_index, ref.row, ref.col, ref.size
+        quote(ref.patient_id), ref.slice_index, ref.row, ref.col, ref.size
     )
 
 
+_ref_fields = operator.itemgetter(*_REF_KEYS.values())
+_REF_TYPES = (str, int, int, int, int)  # exact types: a bool or a float fails, as in require_int
+
+
 def _ref_from_obj(obj: dict) -> PatchRef:
+    try:
+        fields = _ref_fields(obj)
+    except KeyError:
+        fields = ()
+    if tuple(map(type, fields)) == _REF_TYPES:
+        return PatchRef(*fields)
+    # a missing key or a wrong type: read the keys in order and raise for the first that fails
     patient, *int_keys = _REF_KEYS.values()
     if not isinstance(obj[patient], str):
         raise ValueError(f"{patient} must be a JSON string, got {obj[patient]!r}")
@@ -251,10 +265,11 @@ def manifest_to_bytes(m: Manifest) -> bytes:
         "hr_fingerprint": m.hr_fingerprint,
     }
     lines = [json.dumps(header)]
+    quote = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per distinct patient id, for this call
     for r in m.records:
         lines.append(
             '{"lr": %s, "hr": %s, "weight": %s}'
-            % (_ref_to_json(r.lr), _ref_to_json(r.hr), format(r.weight, ".17g"))
+            % (_ref_to_json(r.lr, quote), _ref_to_json(r.hr, quote), format(r.weight, ".17g"))
         )
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -64,9 +64,11 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return _correlate_axis(_correlate_axis(arr, taps, 0), taps, 1)
 
 
-def _taps(src: np.ndarray, n: int):
-    """Clamped indices and Keys weights, each (4, m) in tap order, of the four taps
-    around each source coordinate, at distances 1 + t, t, 1 - t and 2 - t with t = src - floor(src).
+def _taps(src: np.ndarray):
+    """The index of the first of the four taps around each source coordinate in the axis edge-padded by
+    2 px (floor(src) + 1), and the (4, m) Keys weights in tap order, at distances 1 + t, t, 1 - t and
+    2 - t with t = src - floor(src). On an n-pixel axis, the padding gives every coordinate in [-1, n)
+    the values that clamping its tap indices to [0, n - 1] would read.
 
     The inner taps take the near polynomial and the outer taps the far one; the
     far polynomial is exactly 0 at distances 1 and 2, so t = 0 and t = 1 need no case.
@@ -79,15 +81,17 @@ def _taps(src: np.ndarray, n: int):
         w[k] = ((a + 2.0) * s - (a + 3.0)) * s * s + 1.0
     for k, s in ((0, 1.0 + t), (3, 2.0 - t)):
         w[k] = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
-    idx = base.astype(np.int64) + np.arange(-1, 3)[:, None]
-    return np.minimum(np.maximum(idx, 0, out=idx), n - 1, out=idx), w  # np.clip's integers, without its wrapper
+    return base.astype(np.int64) + 1, w
 
 
 def _resize_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     in_len = arr.shape[axis]
     src = (np.arange(out_len, dtype=np.float64) + 0.5) * (in_len / out_len) - 0.5
-    idx, w = (np.ascontiguousarray(x.T) for x in _taps(src, in_len))  # (m, 4): the einsum keeps its summation order
-    g = np.take(arr, idx, axis=axis)
+    first, w = _taps(src)
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (2, 2)
+    g = np.take(np.pad(arr, pad, mode="edge"), first[:, None] + np.arange(4), axis=axis)
+    w = np.ascontiguousarray(w.T)  # (m, 4): the einsum keeps its summation order
     if axis == 0:
         return np.einsum("okw,ok->ow", g, w)
     return np.einsum("hok,ok->ho", g, w)
@@ -135,19 +139,19 @@ def _bicubic_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     (n, 4, 4) tap stack bit for bit. Inside points go in blocks so temporaries stay small.
     """
     h, w = img.shape
-    flat = img.ravel()
+    flat, pw = np.pad(img, 2, mode="edge").ravel(), w + 4
     vals = np.zeros(rows.size)
     inside = np.flatnonzero(~((rows < -0.5) | (rows > h - 0.5) | (cols < -0.5) | (cols > w - 0.5)))
     for lo in range(0, inside.size, _SAMPLE_BLOCK):
         pts = inside[lo : lo + _SAMPLE_BLOCK]
-        ri, wr = _taps(rows[pts], h)
-        ci, wc = _taps(cols[pts], w)
-        ri *= w
-        acc, ix, term = np.zeros(pts.size), np.empty(pts.size, dtype=np.int64), np.empty(pts.size)
+        base, wr = _taps(rows[pts])
+        c0, wc = _taps(cols[pts])
+        base *= pw
+        base += c0  # the flat index of each point's first tap; tap (a, b) lies a * pw + b further on
+        acc, term = np.zeros(pts.size), np.empty(pts.size)
         for a in range(4):
             for b in range(4):
-                np.add(ri[a], ci[b], out=ix)
-                flat.take(ix, out=term, mode="clip")  # ix is in range: "clip" only skips a buffered copy
+                flat[a * pw + b :].take(base, out=term, mode="clip")  # in range: "clip" only skips a buffered copy
                 term *= wr[a]
                 term *= wc[b]
                 acc += term

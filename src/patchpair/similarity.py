@@ -139,20 +139,23 @@ def nmi(x: np.ndarray, y: np.ndarray, spec: HistogramSpec = HistogramSpec()) -> 
     return _nmi(_code_entropy(bx), _code_entropy(by), _code_entropy(bx * spec.bins + by))
 
 
-def _centred_rows(images):
+def _centred_rows(images, out=None):
     """(d, v) of equally shaped images: row k of the (n, P) float64 stack d holds images[k]'s deviations
     from its mean and v[k] their mean square. A constant image's deviations are exact zeros, although
-    its float64 mean need not round to its value. Rows go through in blocks of about _REDUCE_BLOCK
-    elements, so each temporary is one block; a row's mean and mean square are numpy's pairwise sums
-    over the contiguous row."""
-    d = np.array(images, dtype=np.float64).reshape(len(images), -1)
+    its float64 mean need not round to its value. d is out when given, a C-contiguous float64 array of
+    n * P elements, and a new array otherwise. Rows go through in blocks of about _REDUCE_BLOCK
+    elements, and one reused block holds each block's squares; a row's mean and mean square are
+    numpy's pairwise sums over the contiguous row."""
+    shape = (len(images), *np.shape(images[0]))
+    d = np.stack(images, out=np.empty(shape) if out is None else out.reshape(shape)).reshape(len(images), -1)
     n, p = d.shape
     v = np.empty(n)
     k = max(1, _REDUCE_BLOCK // p)
+    sq = np.empty((min(k, n), p))
     for lo in range(0, n, k):
         b = d[lo : lo + k]
         b -= np.where(b.max(axis=1) == b.min(axis=1), b[:, 0], b.mean(axis=1))[:, None]
-        v[lo : lo + k] = (b * b).mean(axis=1)
+        v[lo : lo + k] = np.multiply(b, b, out=sq[: len(b)]).mean(axis=1)
     return d, v
 
 
@@ -161,7 +164,9 @@ def pcc(x: np.ndarray, y: np.ndarray) -> float:
     x, y = require_pair(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
         (dx, dy), (vx, vy) = _centred_rows((x, y))
-    if not (math.isfinite(vx) and math.isfinite(vy)):  # float64 deviations past ~1.3e154: rescale, PCC is scale-free
+    # PCC is scale-free: rescale both images by powers of two when a float64 mean square overflows (deviations past
+    # ~1.3e154) or underflows to 0 although the image is not constant (deviations all below ~1.5e-154)
+    if not (math.isfinite(vx) and math.isfinite(vy)) or (vx == 0.0 and dx.any()) or (vy == 0.0 and dy.any()):
         return pcc(*(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y)))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
@@ -236,6 +241,7 @@ class _Candidates:
             self.flat = v == 0.0
             self.sy = np.sqrt(np.where(self.flat, 1.0, v))
             self.screenable = bool((self.flat | ((v >= _V_MIN) & (v <= _V_MAX))).all())
+            self.query_block = np.empty((0, self.d.shape[1]))  # reused by every chunk of queries
         else:
             self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
 
@@ -266,7 +272,9 @@ class _Candidates:
         return [_rbf_d2(float(t), p, self.cfg.rbf) for t in d2]
 
     def _best_pcc(self, queries):
-        dq, vq = _centred_rows(queries)
+        if len(queries) > len(self.query_block):  # the block has as many rows as the largest chunk so far
+            self.query_block = np.empty((len(queries), self.d.shape[1]))
+        dq, vq = _centred_rows(queries, out=self.query_block[: len(queries)])
         screened = np.flatnonzero((vq >= _V_MIN) & (vq <= _V_MAX) & self.screenable)
         # Screen bound (u = eps / 2, P < 2**60 pixels, mean squares in [_V_MIN, _V_MAX]; a flat candidate scores -1).
         # pcc's cross term is numpy's pairwise mean of dx * dy, the screen's a BLAS dot in any order, maybe with FMA.

@@ -14,11 +14,13 @@ from patchpair import (
     load_dataset,
     load_volume,
     match_exhaustive,
+    match_hierarchical,
+    read_manifest,
     save_volume,
     write_loss_batch,
     write_manifest,
 )
-from patchpair.cli import main
+from patchpair.cli import build_parser, main
 from patchpair.matching import manifest_to_bytes
 
 
@@ -426,3 +428,40 @@ def test_nmi_input_outside_histogram_range_is_data_error(demo_tree, tmp_path, ca
     # PCC has no histogram, so the same input matches
     code, _, _ = run(capsys, *argv, "--metric", "pcc", "--out", str(tmp_path / "pcc.jsonl"))
     assert code == 0
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; each call must still start from the defaults."""
+
+    def test_built_once(self, demo_tree, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        for out in ("a.jsonl", "b.jsonl"):
+            assert run(capsys, "match", "--lr", str(demo_tree / "lr"), "--hr", str(demo_tree / "hr"),
+                       "--out", str(tmp_path / out), "--patch-size", "32", "--stride", "16")[0] == 0
+        assert build_parser.cache_info().misses == 1
+
+    def test_filtered_match_then_plain_match_writes_unfiltered_bytes(self, demo_tree, tmp_path, capsys):
+        args = ["match", "--lr", str(demo_tree / "lr"), "--hr", str(demo_tree / "hr"), "--patch-size", "32",
+                "--stride", "16"]
+        assert run(capsys, *args, "--out", str(tmp_path / "f.jsonl"), "--threshold", "0.9", "--filter")[0] == 0
+        assert run(capsys, *args, "--out", str(tmp_path / "m.jsonl"))[0] == 0
+        expected = match_hierarchical(load_dataset(demo_tree / "lr", "LR"), load_dataset(demo_tree / "hr", "HR"),
+                                      MatchConfig(patch_size=32, stride=16))
+        assert (tmp_path / "m.jsonl").read_bytes() == manifest_to_bytes(expected)
+        assert len(read_manifest(tmp_path / "f.jsonl").records) < len(expected.records)
+
+    def test_usage_error_then_valid_call(self, demo_tree, tmp_path, capsys):
+        code, _, err = run(capsys, "stats", "--manifest", str(tmp_path / "m.jsonl"), "--bins", "0")
+        assert code == 2 and "usage" in err
+        code, _, err = run(capsys, "match", "--lr", str(demo_tree / "lr"))
+        assert code == 2 and "--hr" in err
+        assert run(capsys, "match", "--lr", str(demo_tree / "lr"), "--hr", str(demo_tree / "hr"),
+                   "--out", str(tmp_path / "m.jsonl"), "--patch-size", "32", "--stride", "16")[0] == 0
+
+    def test_demo_seed_does_not_carry_over(self, tmp_path, capsys):
+        small = ["--patients", "1", "--slices", "2", "--size", "32"]
+        for out, seed in (("seed3", ["--seed", "3"]), ("default", []), ("seed0", ["--seed", "0"])):
+            assert run(capsys, "demo", "--out", str(tmp_path / out), *small, *seed)[0] == 0
+        assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "seed0")
+        assert tree_bytes(tmp_path / "default") != tree_bytes(tmp_path / "seed3")

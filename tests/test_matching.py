@@ -836,6 +836,57 @@ class TestManifestIO:
         with pytest.raises(ValueError, match=f"parse error at line 3: {message}$"):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "side, key", [(None, "weight"), (None, "lr"), (None, "hr"), ("lr", "patient"), ("hr", "size"), ("lr", "slice")]
+    )
+    def test_record_missing_key_names_line(self, tmp_path, side, key):
+        head, first, second = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).decode().splitlines()
+        obj = json.loads(second)
+        del (obj if side is None else obj[side])[key]
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, first, json.dumps(obj)]) + "\n")
+        with pytest.raises(ValueError, match=f"parse error at line 3: '{key}'$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"slice": True, "row": None}, "slice must be a JSON integer, got True"),
+            ({"patient": 7, "slice": None}, "patient must be a JSON string, got 7"),
+            ({"row": None, "col": 0.5}, "'row'"),
+            ({"col": "0", "size": 1.0}, "col must be a JSON integer, got '0'"),
+        ],
+        ids=["mistyped-then-missing", "patient-then-missing", "missing-then-mistyped", "two-mistyped"],
+    )
+    def test_first_failing_ref_key_in_key_order_is_named(self, tmp_path, edits, message):
+        # a ref's keys are read in the order patient, slice, row, col, size; None deletes the key
+        head, first, second = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).decode().splitlines()
+        obj = json.loads(second)
+        for key, value in edits.items():
+            if value is None:
+                del obj["hr"][key]
+            else:
+                obj["hr"][key] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, first, json.dumps(obj)]) + "\n")
+        with pytest.raises(ValueError, match=f"parse error at line 3: {message}$"):
+            read_manifest(path)
+
+    def test_each_patient_id_written_as_json_dumps(self):
+        # manifest_to_bytes quotes each distinct id once per call; every record must still be the dict's json.dumps
+        ids = ["a", 'q"', "\u00e9", "b\\", "a"]
+        records = [
+            MatchRecord(PatchRef(ids[i % 5], i, 0, 0, 16), PatchRef(ids[(3 * i + 1) % 5], 0, i, 1, 16), w)
+            for i, w in enumerate([0.5, 0.25, 1.0, 0.0, 0.75, 0.5, 0.125])
+        ]
+        m = dataclasses.replace(fabricated_manifest([]), records=records)
+        lines = manifest_to_bytes(m).decode().splitlines()[1:]
+        assert len(lines) == len(records)
+        for line, r in zip(lines, records):
+            weight = int(r.weight) if r.weight in (0.0, 1.0) else r.weight  # the writer's .17g drops ".0"
+            obj = {"lr": json.loads(ref_to_json_dict(r.lr)), "hr": json.loads(ref_to_json_dict(r.hr)), "weight": weight}
+            assert line == json.dumps(obj)
+
     @pytest.mark.parametrize("key, value", [("patch_size", 16.0), ("stride", True), ("bins", "64")])
     def test_mistyped_header_integer_names_line_one(self, tmp_path, key, value):
         head, *records = manifest_to_bytes(fabricated_manifest([0.5])).decode().splitlines()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,11 +201,48 @@ class TestPcc:
         with pytest.raises(ZeroVarianceError, match="zero variance"):
             pcc(np.full((2, 2), 1e308), np.arange(4.0).reshape(2, 2))
 
+    def test_deviations_under_the_square_underflow(self):
+        # every squared deviation underflows to 0, so the mean square reads 0 for an image that is not constant
+        y = np.array([[1.0, 2.0, 3.0]])
+        assert pcc(np.array([[0.0, 1e-170, 2e-170]]), y) == pcc(y, np.array([[0.0, 1e-170, 2e-170]])) == 1.0
+        assert pcc(np.array([[1e-170, 0.0, 2e-170]]), y) == pytest.approx(0.5, abs=1e-15)
+        assert pcc(np.array([[5e-324, 0.0]]), np.array([[1.0, 2.0]])) == -1.0  # the smallest subnormal
+        assert pcc(np.array([[1e-170, 0.0, 2e-170]]), np.array([[1e300, -1e300, 5e299]])) == pytest.approx(
+            pcc(np.array([[1.0, 0.0, 2.0]]), np.array([[1.0, -1.0, 0.5]])), abs=1e-15
+        )
+        for flat in (np.full((1, 3), 1e-170), np.zeros((1, 3))):
+            with pytest.raises(ZeroVarianceError, match="zero variance"):
+                pcc(flat, np.array([[0.0, 1e-170, 2e-170]]))
+
+    def test_inputs_that_are_not_float_arrays(self):
+        # lists, integer arrays, strings and Python ints past int64 convert to float64 as in require_image
+        expected = pcc(np.array([[1.0, 2.0, 4.0]]), np.array([[3.0, 1.0, 2.0]]))
+        assert pcc([[1, 2, 4]], np.array([[3, 1, 2]], dtype=np.int16)) == expected
+        assert pcc(np.array([["1", "2", "4"]]), [[3.0, 1.0, 2.0]]) == expected
+        assert pcc([[2**70, 2**71, 2**72]], [[3, 1, 2]]) == expected
+
     @given(varied_patches, st.floats(0.1, 50), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_affine_invariance(self, x, a, b):
         y = np.linspace(0, 1, x.size).reshape(x.shape)
         assert pcc(a * x + b, y) == pytest.approx(pcc(x, y), abs=1e-12)
+
+
+@pytest.mark.parametrize("f", [nmi, pcc, joint_histogram])
+def test_keeps_no_float64_copy_of_the_inputs(f):
+    # on a float64 pair, nmi and joint_histogram hold at most four image-sized arrays at once (codes and their
+    # temporaries), pcc its (2, P) stack and one block of squares; float64 copies of the inputs made by the
+    # checks took the traced peak from 512 to 769 KiB
+    rng = np.random.default_rng(5)
+    x, y = rng.random((128, 128)), rng.random((128, 128))
+    f(x, y)  # numpy's first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        f(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes + 16 * 1024, f"traced peak {peak / 1024:.1f} KiB"
 
 
 class TestRbf:
