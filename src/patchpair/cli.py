@@ -176,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="generate a synthetic LR/HR dataset pair")
     p.add_argument("--out", required=True, help="output directory (gets lr/ and hr/ subdirs)")
-    p.add_argument("--patients", type=_positive_int, default=2)
-    p.add_argument("--slices", type=_positive_int, default=4)
-    p.add_argument("--size", type=_positive_int, default=64)
+    p.add_argument("--patients", type=_positive_int, default=phantoms.PhantomSpec.patients)
+    p.add_argument("--slices", type=_positive_int, default=phantoms.PhantomSpec.slices_per_patient)
+    p.add_argument("--size", type=_positive_int, default=phantoms.PhantomSpec.size)
     p.add_argument("--perturbation", type=float, default=0.25)
-    p.add_argument("--sigma", type=float, default=3.0)
-    p.add_argument("--factor", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0, help="phantom generator seed")
+    p.add_argument("--sigma", type=float, default=resample.DegradeParams.sigma)
+    p.add_argument("--factor", type=_positive_int, default=resample.DegradeParams.scale_factor)
+    p.add_argument("--seed", type=int, default=phantoms.PhantomSpec.seed, help="phantom generator seed")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("preprocess", help="resize, rotation-correct, recenter, normalize")
@@ -194,22 +194,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degrade", help="apply the blur/downsample/upsample degradation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--sigma", type=float, default=3.0)
-    p.add_argument("--factor", type=_positive_int, default=4)
+    p.add_argument("--sigma", type=float, default=resample.DegradeParams.sigma)
+    p.add_argument("--factor", type=_positive_int, default=resample.DegradeParams.scale_factor)
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("match", help="match LR patches against HR patches")
     p.add_argument("--lr", required=True, help="directory of LR volumes")
     p.add_argument("--hr", required=True, help="directory of HR volumes")
     p.add_argument("--out", required=True, help="manifest output path")
-    p.add_argument("--metric", choices=[k.value for k in SimilarityKind], default="nmi")
+    p.add_argument("--metric", choices=[k.value for k in SimilarityKind], default=matching.MatchConfig.metric.value)
     levels = [lv.value for lv in matching.MatchLevels] + ["exhaustive"]  # exhaustive: patch-only by another name
-    p.add_argument("--levels", choices=levels, default="hierarchical")
-    p.add_argument("--patch-size", type=_positive_int, default=128)
-    p.add_argument("--stride", type=_positive_int, default=64)
-    p.add_argument("--bins", type=_positive_int, default=64)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=0.4)
+    p.add_argument("--levels", choices=levels, default=matching.MatchConfig.levels.value)
+    p.add_argument("--patch-size", type=_positive_int, default=matching.MatchConfig.patch_size)
+    p.add_argument("--stride", type=_positive_int, default=matching.MatchConfig.stride)
+    p.add_argument("--bins", type=_positive_int, default=HistogramSpec.bins)
+    p.add_argument("--gamma", type=float, default=RbfParams.gamma)
+    p.add_argument("--threshold", type=float, default=matching.MatchConfig.threshold)
     p.add_argument("--filter", action="store_true", help="drop records at or below the threshold")
     p.set_defaults(func=cmd_match)
 
@@ -222,15 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="PSNR/SSIM/RMSE between two volume directories")
     p.add_argument("--reference", required=True)
     p.add_argument("--estimate", required=True)
-    p.add_argument("--ssim-mode", choices=[m.value for m in quality.SsimMode], default="global")
-    p.add_argument("--window", type=_positive_int, default=8)
+    p.add_argument("--ssim-mode", choices=[m.value for m in quality.SsimMode], default=quality.SsimParams.mode.value)
+    p.add_argument("--window", type=_positive_int, default=quality.SsimParams.window)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("loss-eval", help="evaluate the objective on a stored batch")
     p.add_argument("--batch", required=True, help="directory with role volumes and values.json")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--lambda3", type=float, default=256.0)
+    p.add_argument("--lambda1", type=float, default=losses.LossWeights.lambda1)
+    p.add_argument("--lambda2", type=float, default=losses.LossWeights.lambda2)
+    p.add_argument("--lambda3", type=float, default=losses.LossWeights.lambda3)
     p.add_argument("--adv", choices=[k.value for k in losses.AdvKind], default="least-squares")
     p.set_defaults(func=cmd_loss_eval)
 

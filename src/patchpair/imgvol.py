@@ -19,18 +19,15 @@ VALID_LABELS = ("LR", "HR")
 _REDUCE_BLOCK = 1 << 16
 
 
-def _checked_image(arr: np.ndarray) -> np.ndarray:
-    """arr, a float64 array, checked for two dims, at least one pixel and finite values."""
+def require_image(img: np.ndarray) -> np.ndarray:
+    """A 2D image as a float64 array, checked for two dims, at least one pixel and finite values. An input
+    that is already a float64 array comes back as itself, not as a copy, so callers only read it."""
+    arr = np.asarray(img, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2D image, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image contains non-finite values")
     return arr
-
-
-def require_image(img: np.ndarray) -> np.ndarray:
-    """A new float64 copy of a 2D image, checked for two dims, at least one pixel and finite values."""
-    return _checked_image(np.array(img, dtype=np.float64))
 
 
 def require_int(value, name: str) -> int:
@@ -48,9 +45,8 @@ def require_number(value, name: str):
 
 
 def require_pair(x: np.ndarray, y: np.ndarray):
-    """Two images whose shapes agree, as float64 arrays checked as in ``require_image``. An input that is
-    already a float64 array comes back as itself, not as a copy, so callers only read them."""
-    x, y = (_checked_image(np.asarray(a, dtype=np.float64)) for a in (x, y))
+    """Two images whose shapes agree, each as ``require_image`` returns it."""
+    x, y = require_image(x), require_image(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x, y
@@ -196,9 +192,13 @@ def load_dataset(dir_path, label: str) -> Dataset:
         raise ValueError(f"no *.vol files in {dir_path}")
     vols = tuple(load_volume(p) for p in paths)  # each names its own file on error
     try:
-        return Dataset(label, vols)
+        ds = Dataset(label, vols)
     except ValueError as e:
         raise ValueError(f"{dir_path}: {e}") from e
+    for p, v in zip(paths, vols):  # save_dataset names each file after its volume's id
+        if v.patient_id != p.stem:
+            raise ValueError(f"{p}: sidecar patient_id {v.patient_id!r} differs from the file name {p.stem!r}")
+    return ds
 
 
 def save_dataset(ds: Dataset, dir_path) -> None:

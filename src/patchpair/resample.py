@@ -174,7 +174,7 @@ def recenter(img: np.ndarray) -> np.ndarray:
     arr = require_image(img)
     if float(arr.max()) == float(arr.min()):
         warnings.warn("constant image: centroid undefined, recenter skipped", DegenerateImageWarning)
-        return arr
+        return arr.copy(order="K")  # require_image hands a float64 input back as itself
     h, w = arr.shape
     ci, cj = _centroid(arr)
     dr = int(np.round((h - 1) / 2.0 - ci))
@@ -208,13 +208,13 @@ def rotation_correct(img: np.ndarray) -> np.ndarray:
     arr = require_image(img)
     if float(arr.max()) == float(arr.min()):
         warnings.warn("constant image: rotation correction skipped", DegenerateImageWarning)
-        return arr
+        return arr.copy(order="K")
     theta, mu_rr, mu_cc, mu_rc, ci, cj = _principal_angle(arr)
     if abs(mu_rr - mu_cc) < 1e-9 and abs(mu_rc) < 1e-9:
         warnings.warn("nearly isotropic image: rotation correction skipped", DegenerateImageWarning)
-        return arr
+        return arr.copy(order="K")
     if theta == 0.0:
-        return arr
+        return arr.copy(order="K")
     h, w = arr.shape
     ii, jj = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
     di = ii.ravel() - ci

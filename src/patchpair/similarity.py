@@ -216,7 +216,9 @@ _V_MIN, _V_MAX = 2.0**-900, 2.0**700  # the mean squares of a non-flat row that 
 
 class _Candidates:
     """One match level's (key, image) candidates, prepared once and queried for many LR images:
-    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``.
+    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``, except
+    that PCC scores -1 for a non-constant float64 image whose mean square underflows to 0, which ``pcc`` rescales
+    (``pcc([[1e-170, 0, 2e-170]], [[1, 2, 3]])`` is 0.5); float32 volumes and their mean images cannot reach it.
 
     NMI bins each candidate and takes its marginal entropy once, so a pair
     costs one joint bincount. PCC keeps each candidate's centred pixels and

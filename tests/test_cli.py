@@ -1,13 +1,18 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from patchpair import (
+    DegradeParams,
     HistogramSpec,
     LossBatch,
+    LossWeights,
     MatchConfig,
     MatchLevels,
+    PhantomSpec,
+    SsimParams,
     Volume,
     evaluate_pair,
     filter_threshold,
@@ -17,6 +22,8 @@ from patchpair import (
     match_hierarchical,
     read_manifest,
     save_volume,
+    total_loss,
+    weight_stats,
     write_loss_batch,
     write_manifest,
 )
@@ -411,6 +418,19 @@ def test_path_escaping_sidecar_patient_id_is_data_error(demo_tree, tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
 
 
+def test_volume_renamed_away_from_its_sidecar_id_is_data_error(demo_tree, tmp_path, capsys):
+    hr = tmp_path / "hr"
+    hr.mkdir()
+    for p in sorted((demo_tree / "hr").iterdir()):
+        (hr / p.name.replace("P001", "Q")).write_bytes(p.read_bytes())
+    code, out, err = run(capsys, "match", "--lr", str(demo_tree / "lr"), "--hr", str(hr),
+                         "--out", str(tmp_path / "m.jsonl"), "--patch-size", "32", "--stride", "16")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {hr / 'Q.vol'}: sidecar patient_id 'P001' differs from the file name 'Q'\n"
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_nmi_input_outside_histogram_range_is_data_error(demo_tree, tmp_path, capsys):
     hr = tmp_path / "hr"
     hr.mkdir()
@@ -465,3 +485,37 @@ class TestOneParserPerProcess:
             assert run(capsys, "demo", "--out", str(tmp_path / out), *small, *seed)[0] == 0
         assert tree_bytes(tmp_path / "default") == tree_bytes(tmp_path / "seed0")
         assert tree_bytes(tmp_path / "default") != tree_bytes(tmp_path / "seed3")
+
+
+def test_every_default_is_read_from_its_library_home():
+    """Parsing only the required options gives the defaults of an unconfigured library call: each dataclass
+    field's, and weight_stats's and total_loss's parameter defaults. --perturbation and --target have no home."""
+    required = {
+        "demo": ["--out", "o"],
+        "preprocess": ["--input", "i", "--output", "o"],
+        "degrade": ["--input", "i", "--output", "o"],
+        "match": ["--lr", "l", "--hr", "h", "--out", "o"],
+        "stats": ["--manifest", "m", "--csv", "c"],
+        "metrics": ["--reference", "r", "--estimate", "e"],
+        "loss-eval": ["--batch", "b"],
+    }
+    cfg, spec, degrade, ssim, lw = MatchConfig(), PhantomSpec(), DegradeParams(), SsimParams(), LossWeights()
+    homes = {
+        "demo": {"patients": spec.patients, "slices": spec.slices_per_patient, "size": spec.size,
+                 "seed": spec.seed, "sigma": degrade.sigma, "factor": degrade.scale_factor, "perturbation": 0.25},
+        "preprocess": {"target": 256},
+        "degrade": {"sigma": degrade.sigma, "factor": degrade.scale_factor},
+        "match": {"metric": cfg.metric.value, "levels": cfg.levels.value, "patch_size": cfg.patch_size,
+                  "stride": cfg.stride, "bins": cfg.hist.bins, "gamma": cfg.rbf.gamma,
+                  "threshold": cfg.threshold, "filter": False},
+        "stats": {"bins": inspect.signature(weight_stats).parameters["bins"].default},
+        "metrics": {"ssim_mode": ssim.mode.value, "window": ssim.window},
+        "loss-eval": {"lambda1": lw.lambda1, "lambda2": lw.lambda2, "lambda3": lw.lambda3,
+                      "adv": inspect.signature(total_loss).parameters["kind"].default.value},
+    }
+    for command, argv in required.items():
+        args = vars(build_parser().parse_args([command, *argv]))
+        given = {a.lstrip("-").replace("-", "_") for a in argv[::2]}
+        defaults = {k: v for k, v in args.items() if k not in given | {"command", "func"}}
+        assert {k: (v, type(v)) for k, v in defaults.items()} == {
+            k: (v, type(v)) for k, v in homes[command].items()}, command

@@ -15,6 +15,7 @@ from patchpair import (
     save_dataset,
     save_volume,
 )
+from patchpair.imgvol import require_image
 
 
 def test_volume_validation():
@@ -68,6 +69,14 @@ def test_duplicate_ids_across_files_name_directory(tmp_path):
     with pytest.raises(ValueError, match="duplicate patient ids") as info:
         load_dataset(tmp_path, "LR")
     assert str(info.value).startswith(f"{tmp_path}: ")
+
+
+def test_sidecar_id_must_equal_the_file_name(tmp_path):
+    save_volume(Volume("P000", np.zeros((1, 2, 2))), tmp_path / "P000.vol")
+    save_volume(Volume("P001", np.zeros((1, 2, 2))), tmp_path / "Q.vol")
+    with pytest.raises(ValueError) as info:
+        load_dataset(tmp_path, "HR")
+    assert str(info.value) == f"{tmp_path / 'Q.vol'}: sidecar patient_id 'P001' differs from the file name 'Q'"
 
 
 def test_constant_volume_roundtrip(tmp_path):
@@ -144,6 +153,20 @@ def test_unparsable_sidecar_names_file(tmp_path, text):
 def test_require_image_refuses(check, img, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check(img)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_require_image_hands_a_float64_array_back_as_itself(order):
+    img = np.asarray(np.arange(12.0).reshape(3, 4) / 11.0, order=order)
+    assert require_image(img) is img
+
+
+@pytest.mark.parametrize("img", [np.full((2, 3), 0.25, dtype=np.float32), np.arange(6).reshape(2, 3),
+                                 [[0.0, 0.5], [1.0, 0.25]]], ids=["float32", "int", "list"])
+def test_require_image_converts_other_inputs_to_a_new_float64_array(img):
+    out = require_image(img)
+    assert out.dtype == np.float64 and out is not img and not np.shares_memory(out, img)
+    assert np.array_equal(out, np.asarray(img, dtype=np.float64))
 
 
 @pytest.mark.parametrize("fields", [(-1, 0, 0, 4), (0, -1, 0, 4), (0, 0, -1, 4), (0, 0, 0, 0)],
