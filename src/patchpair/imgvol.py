@@ -8,6 +8,7 @@ are immutable after construction.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +141,25 @@ def _header_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _write_atomic(path: Path, data) -> None:
+    """Write bytes or a C-contiguous buffer to a new, uniquely named file beside path (``.<name>.<hex>.tmp``, which
+    no ``*.vol`` glob matches), then os.replace it onto path: readers see the old file or the whole new one, and a
+    write that fails leaves the old file and no temporary file behind. A path that exists and is not a regular
+    file, such as a pipe or /dev/stdout, is written to in place, not replaced."""
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "xb")  # "x": never another's file; the mode a plain write would give
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def save_volume(v: Volume, path) -> None:
     """Write ``<path>`` (little-endian float32 payload) plus the ``<path>.json`` sidecar."""
     path = Path(path)
@@ -149,8 +169,8 @@ def save_volume(v: Volume, path) -> None:
         "width": v.width,
         "slices": v.n_slices,
     }
-    path.write_bytes(np.ascontiguousarray(v.data, dtype="<f4"))  # the array's own buffer, no bytes copy
-    _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
+    _write_atomic(path, np.ascontiguousarray(v.data, dtype="<f4"))  # the array's own buffer, no bytes copy
+    _write_atomic(_header_path(path), (json.dumps(header, sort_keys=True) + "\n").encode())
 
 
 def load_volume(path) -> Volume:

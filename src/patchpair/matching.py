@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import Dataset, PatchRef, Volume, require_int, require_number
+from .imgvol import Dataset, PatchRef, Volume, _write_atomic, require_int, require_number
 from .similarity import (
     HistogramSpec,
     RbfParams,
@@ -266,16 +266,16 @@ def manifest_to_bytes(m: Manifest) -> bytes:
     }
     lines = [json.dumps(header)]
     quote = functools.lru_cache(maxsize=None)(json.dumps)  # one json.dumps per distinct patient id, for this call
-    for r in m.records:
+    for r in m.records:  # + 0.0 makes a -0.0 weight 0.0: "-0" would read back as 0.0 and be rewritten as "0"
         lines.append(
             '{"lr": %s, "hr": %s, "weight": %s}'
-            % (_ref_to_json(r.lr, quote), _ref_to_json(r.hr, quote), format(r.weight, ".17g"))
+            % (_ref_to_json(r.lr, quote), _ref_to_json(r.hr, quote), format(r.weight + 0.0, ".17g"))
         )
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def write_manifest(m: Manifest, path) -> None:
-    Path(path).write_bytes(manifest_to_bytes(m))
+    _write_atomic(Path(path), manifest_to_bytes(m))
 
 
 def read_manifest(path) -> Manifest:
@@ -285,8 +285,12 @@ def read_manifest(path) -> Manifest:
     refs strictly increase by (patient, slice, row, col): no repeats, in order.
     """
     path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        n = len((raw[: e.start].decode("utf-8") + "x").splitlines())  # the line that holds byte e.start
+        raise ValueError(f"{path}: parse error at line {n}: {e}") from e
     if not lines:
         raise ValueError(f"{path}: parse error at line 1: empty manifest file")
     try:
@@ -296,7 +300,7 @@ def read_manifest(path) -> Manifest:
         hr_fp = header["hr_fingerprint"]
         if header.get("format") != MANIFEST_FORMAT:
             raise KeyError("format")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: a number past float's range
         raise ValueError(f"{path}: parse error at line 1: bad header ({e})") from e
     records = []
     last = None  # the previous record's LR (patient, slice, row, col)
@@ -312,7 +316,7 @@ def read_manifest(path) -> Manifest:
             if last is not None and key <= last:
                 raise ValueError(f"LR ref {key} is not after the previous record's {last}")
             last = key
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"{path}: parse error at line {n}: {e}") from e
         records.append(rec)
     return Manifest(records=records, config=config, lr_fingerprint=lr_fp, hr_fingerprint=hr_fp)

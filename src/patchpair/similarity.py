@@ -99,9 +99,10 @@ def _plogp_table(n) -> np.ndarray:
 
 
 def _count_entropy(counts: np.ndarray, n) -> float:
-    """Entropy of counts / n from the sorted nonzero counts, so it depends only on their multiset."""
-    c = counts[counts > 0]
-    c.sort()  # integers: any sort algorithm gives the same array
+    """Entropy of counts / n from the sorted nonzero counts, so it depends only on their multiset. Sorts the 1-D
+    counts in place: callers pass an array of their own."""
+    counts.sort()  # integers: any sort algorithm gives the same array, zeros first
+    c = counts[counts.size - np.count_nonzero(counts) :]
     terms = _plogp_table(n)[c] if n <= _TABLE_MAX_N else (c / n) * np.log(c / n)
     return float(-np.add.reduce(terms))
 
@@ -114,7 +115,7 @@ def _code_entropy(codes: np.ndarray) -> float:
 def _entropies(counts: np.ndarray):
     """H_x, H_y and H_xy of a joint count table."""
     n = counts.sum()
-    return tuple(_count_entropy(c, n) for c in (counts.sum(axis=1), counts.sum(axis=0), counts.ravel()))
+    return tuple(_count_entropy(c, n) for c in (counts.sum(axis=1), counts.sum(axis=0), counts.flatten()))
 
 
 def mutual_information(counts: np.ndarray) -> float:

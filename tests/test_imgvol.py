@@ -1,7 +1,13 @@
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchpair import (
     Dataset,
@@ -239,3 +245,56 @@ def test_dataset_dir_roundtrip(tmp_path, small_dataset):
     assert loaded == small_dataset
     with pytest.raises(ValueError, match="no .*vol"):
         load_dataset(tmp_path, "HR")
+
+
+def files(d):
+    return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+@given(
+    st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s and "\\" not in s and s not in (".", "..")),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=5), elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+)
+@settings(max_examples=150, deadline=None)
+def test_volume_survives_a_write_and_a_read_byte_for_byte(pid, data):
+    v = Volume(pid, data)
+    with tempfile.TemporaryDirectory() as d:
+        save_volume(v, Path(d) / "v.vol")
+        written = files(d)
+        assert sorted(written) == ["v.vol", "v.vol.json"]
+        assert written["v.vol"] == data.astype("<f4").tobytes()
+        back = load_volume(Path(d) / "v.vol")
+        assert back.patient_id == pid
+        assert back.data.tobytes() == v.data.tobytes()
+        save_volume(back, Path(d) / "v.vol")
+        assert files(d) == written
+
+
+@pytest.mark.parametrize("refused", ["p.vol", "p.vol.json"], ids=["payload", "sidecar"])
+def test_failed_save_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch, refused):
+    save_volume(Volume("p", np.zeros((1, 2, 2))), tmp_path / "p.vol")
+    old = files(tmp_path)
+    replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst).name == refused:
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no space left"):
+        save_volume(Volume("p", np.ones((2, 3, 3))), tmp_path / "p.vol")
+    now = files(tmp_path)
+    assert sorted(now) == ["p.vol", "p.vol.json"]  # no temporary file left behind
+    assert now[refused] == old[refused]
+
+
+def test_save_interrupted_before_its_renames_leaves_the_dataset_as_it_was(tmp_path, monkeypatch):
+    old = Dataset("HR", (Volume("P000", np.zeros((1, 2, 2))),))
+    save_dataset(old, tmp_path)
+    monkeypatch.setattr(os, "replace", lambda src, dst: None)  # the process stops before each rename
+    save_volume(Volume("P000", np.ones((3, 2, 2))), tmp_path / "P000.vol")
+    monkeypatch.undo()
+    temporary = sorted(set(files(tmp_path)) - {"P000.vol", "P000.vol.json"})
+    assert len(temporary) == 2 and all(n.startswith(".P000.vol.") and n.endswith(".tmp") for n in temporary)
+    assert load_dataset(tmp_path, "HR") == old  # *.vol matches no temporary file

@@ -2,7 +2,13 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
+import re
+import stat
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -932,3 +938,124 @@ class TestManifestIO:
         back = read_manifest(path)
         assert (back.lr_fingerprint, back.hr_fingerprint) == (dataset_fingerprint(lr), dataset_fingerprint(hr))
         assert dataset_fingerprint(lr) != dataset_fingerprint(hr)
+
+    def test_record_weight_past_float_range_names_line(self, tmp_path):
+        head, first, second = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).decode().splitlines()
+        obj = json.loads(second)
+        obj["weight"] = int("1" * 401)  # a JSON integer that float() cannot hold
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([head, first, json.dumps(obj)]) + "\n")
+        with pytest.raises(ValueError, match="parse error at line 3: int too large to convert to float$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key", ["threshold", "gamma"])
+    def test_header_number_past_float_range_names_line_one(self, tmp_path, key):
+        head, *records = manifest_to_bytes(fabricated_manifest([0.5])).decode().splitlines()
+        header = json.loads(head)
+        header["config"][key] = int("1" * 401)
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + records) + "\n")
+        with pytest.raises(ValueError, match=r"parse error at line 1: bad header \(int too large to convert to float\)$"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("line, offset", [(1, 0), (3, 40), (3, -1)], ids=["header", "record", "newline"])
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, line, offset):
+        lines = manifest_to_bytes(fabricated_manifest([0.5, 0.6])).splitlines(keepends=True)
+        raw = bytearray(lines[line - 1])
+        raw[offset] = 0xFF
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b"".join(lines[: line - 1] + [bytes(raw)] + lines[line:]))
+        with pytest.raises(ValueError, match=f"parse error at line {line}: 'utf-8' codec can't decode byte 0xff"):
+            read_manifest(path)
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        write_manifest(fabricated_manifest([0.5]), path)
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            write_manifest(fabricated_manifest([0.5, 0.6]), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
+        assert path.read_bytes() == old
+
+    def test_write_to_a_pipe_goes_through_it(self, tmp_path):
+        # a pipe, like /dev/stdout, is written to, not replaced by a regular file
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+        write_manifest(fabricated_manifest([0.5]), path)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [manifest_to_bytes(fabricated_manifest([0.5]))]
+        assert stat.S_ISFIFO(path.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+@st.composite
+def manifests(draw):
+    """A manifest as the writer can emit it: any config, fingerprint text and patient ids, weights in [0, 1], and
+    LR refs in strictly increasing (patient, slice, row, col) order."""
+    size = draw(st.integers(1, 2**40))
+    gamma = draw(st.none() | st.floats(1e-150, 1e300))
+    value_range = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True))
+    cfg = MatchConfig(
+        patch_size=size,
+        stride=draw(st.integers(1, size)),
+        metric=draw(st.sampled_from(SimilarityKind)),
+        hist=HistogramSpec(bins=draw(st.integers(2, 2**40)), value_range=tuple(sorted(value_range))),
+        rbf=RbfParams(gamma=gamma),
+        threshold=draw(st.floats(0.0, 1.0)),
+        levels=draw(st.sampled_from(MatchLevels)),
+    )
+    ints = st.integers(0, 2**40)
+    keys = sorted(draw(st.lists(st.tuples(st.text(max_size=4), ints, ints, ints), unique=True, max_size=5)))
+    records = [
+        MatchRecord(PatchRef(*key, size), PatchRef(draw(st.text(max_size=4)), *draw(st.tuples(ints, ints, ints)), size),
+                    draw(st.floats(0.0, 1.0) | st.just(-0.0)))
+        for key in keys
+    ]
+    return Manifest(records, cfg, draw(st.text(max_size=8)), draw(st.text(max_size=8)))
+
+
+class TestManifestProperties:
+    @given(manifests())
+    @settings(max_examples=200, deadline=None)
+    def test_write_and_read_keep_every_byte(self, m):
+        raw = manifest_to_bytes(m)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "m.jsonl"
+            write_manifest(m, path)
+            assert path.read_bytes() == raw
+            back = read_manifest(path)
+        assert back == m
+        assert manifest_to_bytes(back) == raw
+
+    @given(manifests(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_manifest_parses_or_names_a_line(self, m, data):
+        # a cut at a line boundary still parses: the /1 format does not carry its record count
+        raw = manifest_to_bytes(m)
+        how = data.draw(st.sampled_from(["cut", "flip", "drop"]))
+        if how == "drop":
+            lines = raw.splitlines(keepends=True)
+            k = data.draw(st.integers(0, len(lines) - 1))
+            fuzzed = b"".join(lines[:k] + lines[k + 1 :])
+        else:
+            k = data.draw(st.integers(0, len(raw) - 1))
+            flipped = bytes([raw[k] ^ data.draw(st.integers(1, 255))])
+            fuzzed = raw[:k] if how == "cut" else raw[:k] + flipped + raw[k + 1 :]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "m.jsonl"
+            path.write_bytes(fuzzed)
+            try:
+                read_manifest(path)
+            except ValueError as e:  # any other exception fails the test
+                named = re.match(f"{re.escape(str(path))}: parse error at line ([0-9]+): ", str(e))
+                assert named, str(e)
+                assert 1 <= int(named[1]) <= max(1, len(fuzzed.decode("utf-8", "replace").splitlines()))

@@ -112,6 +112,20 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="counts must be nonnegative integers"):
             mutual_information(table)
 
+    def test_reads_the_read_only_table_of_joint_histogram(self, rng):
+        h = joint_histogram(rng.random((12, 12)), rng.random((12, 12)), HistogramSpec(bins=16))
+        assert not h.flags.writeable
+        assert mutual_information(h) == pytest.approx(mi_double_loop(h), abs=1e-12)
+
+    def test_leaves_a_writable_table_as_it_is(self, rng):
+        # the entropy of the joint table sorts its counts in place, so it must get a copy of the caller's table
+        t = np.array(joint_histogram(rng.random((12, 12)), rng.random((12, 12)), HistogramSpec(bins=16)))
+        assert t.flags.writeable and t.flags.c_contiguous
+        before = t.copy()
+        assert not np.array_equal(np.sort(t, axis=None), t.ravel())  # sorting would show
+        mutual_information(t)
+        assert np.array_equal(t, before)
+
     def test_bounded_by_marginal_entropies(self, rng):
         spec = HistogramSpec(bins=8)
         for _ in range(20):
