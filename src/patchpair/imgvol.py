@@ -61,15 +61,25 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
+        self._keep(np.array(self.data, dtype=np.float32, copy=True))
+
+    @classmethod
+    def _owning(cls, patient_id: str, arr: np.ndarray) -> "Volume":
+        """A volume that keeps arr itself, a new native float32 array that no caller holds, checked as a copy is."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "patient_id", patient_id)
+        v._keep(arr)
+        return v
+
+    def _keep(self, arr: np.ndarray) -> None:
         if not isinstance(self.patient_id, str) or not self.patient_id:
             raise ValueError(f"patient id must be a non-empty string, got {self.patient_id!r}")
         # save_dataset names the file after the id, so it must stay inside its directory
         if "/" in self.patient_id or "\\" in self.patient_id or self.patient_id in (".", ".."):
             raise ValueError(f"patient id must be a plain file name, got {self.patient_id!r}")
-        arr = np.array(self.data, dtype=np.float32, copy=True)
         if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ValueError(f"volume data must be (slices, height, width), got {arr.shape}")
-        if not np.isfinite(arr).all():
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # both take NaN; no full-size temporary
             raise ValueError(f"volume {self.patient_id!r} contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -133,7 +143,9 @@ def normalize_volume(v: Volume) -> Volume:
     hi = float(v.data.max())
     if hi == lo:
         return Volume(v.patient_id, np.zeros_like(v.data))
-    out = (v.data.astype(np.float64) - lo) / (hi - lo)
+    out = v.data.astype(np.float64)
+    out -= lo
+    out /= hi - lo
     return Volume(v.patient_id, out)
 
 
@@ -192,14 +204,16 @@ def load_volume(path) -> Volume:
         raise ValueError(f"contradictory or incomplete header {hpath}: {e}") from e
     if h < 1 or w < 1 or s < 1:
         raise ValueError(f"contradictory header {hpath}: non-positive dimensions")
-    raw = path.read_bytes()
     expected = h * w * s * 4
-    if len(raw) != expected:
-        raise ValueError(
-            f"length mismatch for {path}: payload {len(raw)} bytes, header implies {expected}"
-        )
+    with open(path, "rb") as f:  # the payload goes straight into the array the volume keeps
+        size = os.fstat(f.fileno()).st_size
+        if size == expected:
+            arr = np.empty((s, h, w), dtype="<f4")
+            size = f.readinto(arr)
+    if size != expected:
+        raise ValueError(f"length mismatch for {path}: payload {size} bytes, header implies {expected}")
     try:
-        return Volume(pid, np.frombuffer(raw, dtype="<f4").reshape(s, h, w))
+        return Volume._owning(pid, arr.astype(np.float32, copy=False))  # a copy only on a big-endian host
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imgvol import _REDUCE_BLOCK, Volume, load_volume, save_volume
+from .imgvol import _REDUCE_BLOCK, Volume, _write_atomic, load_volume, save_volume
 
 CLAMP_EPS = 1e-7
 
@@ -285,7 +285,7 @@ def write_loss_batch(batch: LossBatch, dir_path) -> None:
         save_volume(Volume(role, getattr(batch, role)), dir_path / f"{role}.vol")
     values = {role: [float(v) for v in getattr(batch, role)] for role in SCALAR_ROLES}
     values["w"] = [float(v) for v in batch.w]
-    (dir_path / "values.json").write_text(json.dumps(values, sort_keys=True) + "\n")
+    _write_atomic(dir_path / "values.json", (json.dumps(values, sort_keys=True) + "\n").encode())
 
 
 def read_loss_batch(dir_path) -> LossBatch:

@@ -76,11 +76,22 @@ def _taps(src: np.ndarray):
     base = np.floor(src)
     t = src - base
     a = _KEYS_A
-    w = np.empty((4, src.size))
-    for k, s in ((1, t), (2, 1.0 - t)):
-        w[k] = ((a + 2.0) * s - (a + 3.0)) * s * s + 1.0
-    for k, s in ((0, 1.0 + t), (3, 2.0 - t)):
-        w[k] = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
+    w, u = np.empty((4, src.size)), np.empty(src.size)  # u holds 1 - t, 1 + t and 2 - t in turn
+    for k in (1, 2):  # ((a + 2) s - (a + 3)) s s + 1, step by step in place
+        s = t if k == 1 else np.subtract(1.0, t, out=u)
+        wk = np.multiply(s, a + 2.0, out=w[k])
+        wk -= a + 3.0
+        wk *= s
+        wk *= s
+        wk += 1.0
+    for k in (0, 3):  # ((a s - 5a) s + 8a) s - 4a
+        s = np.add(t, 1.0, out=u) if k == 0 else np.subtract(2.0, t, out=u)
+        wk = np.multiply(s, a, out=w[k])
+        wk -= 5.0 * a
+        wk *= s
+        wk += 8.0 * a
+        wk *= s
+        wk -= 4.0 * a
     return base.astype(np.int64) + 1, w
 
 
@@ -195,9 +206,12 @@ def _principal_angle(arr: np.ndarray):
     ci, cj = _centroid(arr)
     di = np.arange(arr.shape[0], dtype=np.float64) - ci
     dj = np.arange(arr.shape[1], dtype=np.float64) - cj
-    mu_rr = float((arr * (di * di)[:, None]).sum()) / total
-    mu_cc = float((arr * (dj * dj)[None, :]).sum()) / total
-    mu_rc = float((arr * di[:, None] * dj[None, :]).sum()) / total
+    prod = np.multiply(arr, (di * di)[:, None])  # one buffer in arr's layout, so each sum runs in its memory order
+    mu_rr = float(prod.sum()) / total
+    mu_cc = float(np.multiply(arr, dj * dj, out=prod).sum()) / total
+    np.multiply(arr, di[:, None], out=prod)
+    prod *= dj
+    mu_rc = float(prod.sum()) / total
     theta = 0.5 * math.atan2(2.0 * mu_rc, mu_rr - mu_cc)
     return theta, mu_rr, mu_cc, mu_rc, ci, cj
 
@@ -216,13 +230,13 @@ def rotation_correct(img: np.ndarray) -> np.ndarray:
     if theta == 0.0:
         return arr.copy(order="K")
     h, w = arr.shape
-    ii, jj = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    di = ii.ravel() - ci
-    dj = jj.ravel() - cj
+    di = (np.arange(h, dtype=np.float64) - ci)[:, None]
+    dj = np.arange(w, dtype=np.float64) - cj
     c, s = math.cos(theta), math.sin(theta)
-    src_r = ci + c * di - s * dj
-    src_c = cj + s * di + c * dj
-    return _bicubic_sample(arr, src_r, src_c).reshape(h, w)
+    # left to right, as on a full grid: the bracketed row terms first, then the column terms
+    src_r = (ci + c * di) - s * dj
+    src_c = (cj + s * di) + c * dj
+    return _bicubic_sample(arr, src_r.ravel(), src_c.ravel()).reshape(h, w)
 
 
 def preprocess(v: Volume, target: int) -> Volume:

@@ -60,8 +60,9 @@ class RbfParams:
 def _codes(img: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     """Flat bin index of every pixel; x * bins + y codes the joint bin of a pair."""
     lo, hi = spec.value_range
-    scaled = (np.asarray(img, dtype=np.float64).ravel() - lo) * (spec.bins / (hi - lo))
-    idx = np.floor(scaled).astype(np.int64)
+    scaled = np.subtract(img, lo, dtype=np.float64, order="C").ravel()  # a new array: img is never written
+    scaled *= spec.bins / (hi - lo)
+    idx = np.floor(scaled, out=scaled).astype(np.int64)
     # out-of-range values land in the edge bins
     return np.minimum(np.maximum(idx, 0, out=idx), spec.bins - 1, out=idx)  # np.clip's integers, without its wrapper
 

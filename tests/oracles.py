@@ -13,6 +13,7 @@ import numpy as np
 from patchpair import AdvKind, LossBatch, LossWeights, total_loss
 from patchpair.losses import IMAGE_ROLES, LossBreakdown, LossGradients
 from patchpair.matching import _REF_KEYS
+from patchpair.resample import _bicubic_sample
 from patchpair.similarity import SimilarityKind, ZeroVarianceError, pcc, similarity, to_weight
 
 
@@ -171,6 +172,86 @@ def principal_axis_angle(img):
     elif ang <= -math.pi / 2:
         ang += math.pi
     return ang
+
+
+def render_volume_grid(spec, params):
+    """phantoms._render_volume's float64 (S, H, W) stack in its full-grid form: meshgrid index grids and one
+    whole-image expression per blob; the bit-for-bit reference for the broadcast, in-place renderer."""
+    size = spec.size
+    centre = (size - 1) / 2.0
+    ii, jj = np.meshgrid(
+        np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij"
+    )
+    r0, sg, amp = params.ring
+    ring = amp * np.exp(-0.5 * ((np.hypot(ii - centre, jj - centre) - r0) / sg) ** 2)
+    s = spec.slices_per_patient
+    ts = [k / (s - 1) if s > 1 else 0.0 for k in range(s)]
+    data = np.empty((s, size, size))
+    for img, t in zip(data, ts):
+        img[...] = ring
+        blobs = params.blobs_start + (params.blobs_end - params.blobs_start) * t
+        for ci, cj, ri, rj, a in blobs:
+            img += a * np.exp(-0.5 * (((ii - ci) / ri) ** 2 + ((jj - cj) / rj) ** 2))
+        np.clip(img, 0.0, 1.0, out=img)
+    return data
+
+
+def principal_moments_grid(arr):
+    """resample._principal_angle's (theta, mu_rr, mu_cc, mu_rc, ci, cj) with one whole-image temporary per
+    moment product, each summed in that temporary's memory order."""
+    total = float(arr.sum())
+    i = np.arange(arr.shape[0], dtype=np.float64)
+    j = np.arange(arr.shape[1], dtype=np.float64)
+    ci = float(arr.sum(axis=1) @ i) / total
+    cj = float(arr.sum(axis=0) @ j) / total
+    di = i - ci
+    dj = j - cj
+    mu_rr = float((arr * (di * di)[:, None]).sum()) / total
+    mu_cc = float((arr * (dj * dj)[None, :]).sum()) / total
+    mu_rc = float((arr * di[:, None] * dj[None, :]).sum()) / total
+    theta = 0.5 * math.atan2(2.0 * mu_rc, mu_rr - mu_cc)
+    return theta, mu_rr, mu_cc, mu_rc, ci, cj
+
+
+def rotation_correct_grid(img):
+    """rotation_correct's rotated image with meshgrid source coordinates, for an image whose principal angle
+    is defined and nonzero. It samples with the library's _bicubic_sample, which bicubic_sample_loop checks."""
+    arr = np.asarray(img, dtype=np.float64)
+    theta, _, _, _, ci, cj = principal_moments_grid(arr)
+    h, w = arr.shape
+    ii, jj = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    di = ii.ravel() - ci
+    dj = jj.ravel() - cj
+    c, s = math.cos(theta), math.sin(theta)
+    src_r = ci + c * di - s * dj
+    src_c = cj + s * di + c * dj
+    return _bicubic_sample(arr, src_r, src_c).reshape(h, w)
+
+
+def keys_taps_expr(src, a=-0.5):
+    """resample._taps as whole-array expressions: the first tap's index in the 2-px edge-padded axis and the
+    (4, m) Keys weights at distances 1 + t, t, 1 - t and 2 - t."""
+    base = np.floor(src)
+    t = src - base
+    w = np.empty((4, src.size))
+    for k, s in ((1, t), (2, 1.0 - t)):
+        w[k] = ((a + 2.0) * s - (a + 3.0)) * s * s + 1.0
+    for k, s in ((0, 1.0 + t), (3, 2.0 - t)):
+        w[k] = ((a * s - 5.0 * a) * s + 8.0 * a) * s - 4.0 * a
+    return base.astype(np.int64) + 1, w
+
+
+def codes_chain(img, spec):
+    """similarity._codes as a chain of new arrays: each pixel's histogram bin in C order, clamped to the edge bins."""
+    lo, hi = spec.value_range
+    scaled = (np.asarray(img, dtype=np.float64).ravel() - lo) * (spec.bins / (hi - lo))
+    return np.clip(np.floor(scaled).astype(np.int64), 0, spec.bins - 1)
+
+
+def normalize_expr(data):
+    """normalize_volume's float64 result for a non-constant volume, before the float32 cast, as one expression."""
+    lo, hi = float(data.min()), float(data.max())
+    return (data.astype(np.float64) - lo) / (hi - lo)
 
 
 def keys_weight(x, a=-0.5):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +122,22 @@ def test_payload_length_mismatch(tmp_path):
     save_volume(v, path)
     header = (tmp_path / "m.vol.json").read_text().replace('"slices": 2', '"slices": 3')
     (tmp_path / "m.vol.json").write_text(header)
-    with pytest.raises(ValueError, match="length mismatch"):
+    with pytest.raises(ValueError, match=f"^length mismatch for {path}: payload 512 bytes, header implies 768$"):
         load_volume(path)
+
+
+def test_load_holds_the_payload_once(tmp_path):
+    v = Volume("p", np.random.default_rng(3).random((32, 256, 256), dtype=np.float32))  # 8 MiB
+    save_volume(v, tmp_path / "p.vol")
+    tracemalloc.start()
+    try:
+        loaded = load_volume(tmp_path / "p.vol")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * v.data.nbytes, f"traced peak {peak / 2**20:.2f} MiB"
+    assert loaded == v
+    assert loaded.data.dtype == np.float32 and loaded.data.dtype.isnative and not loaded.data.flags.writeable
 
 
 def test_missing_and_bad_headers(tmp_path):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +400,23 @@ class TestBatchIO:
             np.testing.assert_allclose(getattr(loaded, name), getattr(b, name), atol=1e-7)
         for name in ("dy_y", "dy_gx", "dx_x", "dx_fy", "w"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(b, name))
+
+    def test_failed_values_write_leaves_the_old_file_and_no_temporary_file(self, tmp_path, rng, monkeypatch):
+        write_loss_batch(make_batch(rng, batch=2, side=4), tmp_path / "batch")
+        names = sorted(p.name for p in (tmp_path / "batch").iterdir())
+        old = (tmp_path / "batch" / "values.json").read_bytes()
+        replace = os.replace
+
+        def refuse(src, dst):
+            if Path(dst).name == "values.json":
+                raise OSError("no space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            write_loss_batch(make_batch(rng, batch=2, side=4), tmp_path / "batch")
+        assert sorted(p.name for p in (tmp_path / "batch").iterdir()) == names  # no temporary file left behind
+        assert (tmp_path / "batch" / "values.json").read_bytes() == old
 
     def test_missing_values_file(self, tmp_path, rng):
         b = make_batch(rng, batch=2, side=4)
