@@ -147,7 +147,8 @@ def _centred_rows(images, out=None):
     its float64 mean need not round to its value. d is out when given, a C-contiguous float64 array of
     n * P elements, and a new array otherwise. Rows go through in blocks of about _REDUCE_BLOCK
     elements, and one reused block holds each block's squares; a row's mean and mean square are
-    numpy's pairwise sums over the contiguous row."""
+    numpy's pairwise sums over the contiguous row. PCC is scale-free: a row whose largest magnitude lies
+    outside [2**-300, 2**300) is first multiplied by the power of two that takes it into [0.5, 1)."""
     shape = (len(images), *np.shape(images[0]))
     d = np.stack(images, out=np.empty(shape) if out is None else out.reshape(shape)).reshape(len(images), -1)
     n, p = d.shape
@@ -156,7 +157,12 @@ def _centred_rows(images, out=None):
     sq = np.empty((min(k, n), p))
     for lo in range(0, n, k):
         b = d[lo : lo + k]
-        b -= np.where(b.max(axis=1) == b.min(axis=1), b[:, 0], b.mean(axis=1))[:, None]
+        hi, low = b.max(axis=1), b.min(axis=1)
+        e = np.frexp(np.maximum(hi, -low))[1]  # largest magnitude f * 2**e, 0.5 <= f < 1; a zero row has e = 0
+        far = (e < -299) | (e > 300)  # outside [2**-300, 2**300)
+        if far.any():
+            b[far] = np.ldexp(b[far], -e[far, None])
+        b -= np.where(hi == low, b[:, 0], b.mean(axis=1))[:, None]
         v[lo : lo + k] = np.multiply(b, b, out=sq[: len(b)]).mean(axis=1)
     return d, v
 
@@ -164,12 +170,7 @@ def _centred_rows(images, out=None):
 def pcc(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation of pixel intensities (population statistics), in [-1, 1]."""
     x, y = require_pair(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (dx, dy), (vx, vy) = _centred_rows((x, y))
-    # PCC is scale-free: rescale both images by powers of two when a float64 mean square overflows (deviations past
-    # ~1.3e154) or underflows to 0 although the image is not constant (deviations all below ~1.5e-154)
-    if not (math.isfinite(vx) and math.isfinite(vy)) or (vx == 0.0 and dx.any()) or (vy == 0.0 and dy.any()):
-        return pcc(*(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (x, y)))
+    (dx, dy), (vx, vy) = _centred_rows((x, y))
     if vx == 0.0 or vy == 0.0:
         raise ZeroVarianceError("zero variance input")
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
@@ -213,14 +214,9 @@ def to_weight(kind: SimilarityKind, score: float) -> float:
     return score
 
 
-_V_MIN, _V_MAX = 2.0**-900, 2.0**700  # the mean squares of a non-flat row that PCC's screen can bound (_best_pcc)
-
-
 class _Candidates:
     """One match level's (key, image) candidates, prepared once and queried for many LR images:
-    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``, except
-    that PCC scores -1 for a non-constant float64 image whose mean square underflows to 0, which ``pcc`` rescales
-    (``pcc([[1e-170, 0, 2e-170]], [[1, 2, 3]])`` is 0.5); float32 volumes and their mean images cannot reach it.
+    ``best_many(queries)`` is each query's first most similar (key, score), bit for bit as ``similarity``.
 
     NMI bins each candidate and takes its marginal entropy once, so a pair
     costs one joint bincount. PCC keeps each candidate's centred pixels and
@@ -244,7 +240,6 @@ class _Candidates:
             self.d, v = _centred_rows(images)
             self.flat = v == 0.0
             self.sy = np.sqrt(np.where(self.flat, 1.0, v))
-            self.screenable = bool((self.flat | ((v >= _V_MIN) & (v <= _V_MAX))).all())
             self.query_block = np.empty((0, self.d.shape[1]))  # reused by every chunk of queries
         else:
             self.rows = np.array(images, dtype=np.float64).reshape(len(images), -1)
@@ -252,7 +247,7 @@ class _Candidates:
     def best_many(self, queries):
         queries = list(queries)
         if self.cfg.metric is SimilarityKind.PCC:
-            cap = min(self.d.shape)  # a chunk's centred queries and screened scores never outgrow the stack
+            cap = min(self.d.shape)  # a chunk's centred queries and screen scores never outgrow the stack
             return [r for lo in range(0, len(queries), cap) for r in self._best_pcc(queries[lo : lo + cap])]
         scores = self._nmi_scores if self.cfg.metric is SimilarityKind.NMI else self._rbf_scores
         return [self._first_max(scores(query)) for query in queries]
@@ -279,28 +274,33 @@ class _Candidates:
         if len(queries) > len(self.query_block):  # the block has as many rows as the largest chunk so far
             self.query_block = np.empty((len(queries), self.d.shape[1]))
         dq, vq = _centred_rows(queries, out=self.query_block[: len(queries)])
-        screened = np.flatnonzero((vq >= _V_MIN) & (vq <= _V_MAX) & self.screenable)
-        # Screen bound (u = eps / 2, P < 2**60 pixels, mean squares in [_V_MIN, _V_MAX]; a flat candidate scores -1).
-        # pcc's cross term is numpy's pairwise mean of dx * dy, the screen's a BLAS dot in any order, maybe with FMA.
-        # No product or partial sum overflows: |d_i| <= sqrt(P v) < 2**380. Each sum is within P u / (1 - P u) times
-        # sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds by P sqrt(vx vy) up to 1 + O(P u): about P eps
-        # in r units. A product, FMA or add that underflows, is flushed or reads a flushed subnormal loses at most
-        # 2**-1022 (1 + |dx_i| + |dy_i|) more: by Cauchy-Schwarz under 2**-120 in r units per sum, as vx, vy >= 2**-900.
-        # Dividing by P and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps); clamping does not widen the gap.
-        # So each screened score is within delta = (P + 5) eps of pcc's, and an exact maximiser m has s~_m >= s_m -
-        # delta >= s_j - delta >= s~_j - 2 delta for the screen's best j: scoring, in key order, every candidate within
-        # 2 delta of it gives the exact maximum. Non-flat float32 rows and mean images (v ~ 2**-500 ... 2**258) screen.
-        p = self.d.shape[1]  # dq[screened].T is (P, queries): one GEMM screens them all
-        s = np.clip((self.d @ dq[screened].T) / p / (self.sy[:, None] * np.sqrt(vq[screened])), -1.0, 1.0)
-        s[self.flat] = -1.0
+        # Screen bound (u = eps / 2, P < 2**60 pixels; a flat candidate or query scores -1). _centred_rows puts each
+        # row's largest magnitude in [2**-300, 2**300), so a non-flat row has 2**-768 < v < 2**602: its range is at
+        # least 2**-353 and below 2**301. pcc's cross term is numpy's pairwise mean of dx * dy, the screen's
+        # a BLAS dot in any order, maybe with FMA. No product or partial sum overflows: |d_i| < 2**301. Each sum is
+        # within P u / (1 - P u) times sum |dx_i dy_i| of the exact one, which Cauchy-Schwarz bounds by P sqrt(vx vy)
+        # up to 1 + O(P u): about P eps in r units. A product, FMA or add that underflows, is flushed or reads a flushed
+        # subnormal loses at most 2**-1022 (1 + |dx_i| + |dy_i|) more: by Cauchy-Schwarz under 2**-250 in r units per
+        # sum, as vx, vy > 2**-768. Dividing by P and by sqrt(vx) sqrt(vy) adds two roundings per side (2 eps);
+        # clamping does not widen the gap. So each screen score is within delta = (P + 5) eps of pcc's, and an exact
+        # maximiser m has s~_m >= s_m - delta >= s_j - delta >= s~_j - 2 delta for the screen's best j: scoring, in key
+        # order, every candidate within 2 delta of it gives the exact maximum.
+        p, sq = self.d.shape[1], np.sqrt(np.where(vq == 0.0, 1.0, vq))
+        s = self.d @ dq.T  # one GEMM screens the chunk; a flat query's column is 0
+        s /= p  # then / (sy sq) in place, a quarter block of denominators at a time: no candidates x chunk temporary
+        k = max(1, _REDUCE_BLOCK // (4 * len(queries)))
+        for lo in range(0, len(s), k):
+            s[lo : lo + k] /= self.sy[lo : lo + k, None] * sq
+        np.clip(s, -1.0, 1.0, out=s)
+        s[self.flat] = s[:, vq == 0.0] = -1.0
         tol = 2.0 * (p + 5) * np.finfo(np.float64).eps
-        band = np.ones((len(queries), len(self.keys)), dtype=bool)  # unscreened: flat, or the screen cannot bound it
-        band[screened] = (s >= s.max(axis=0) - tol).T
+        band = (s >= s.max(axis=0) - tol).T
+        del s
         flat = band & (self.flat | (vq == 0.0)[:, None])  # pcc raises ZeroVarianceError: such a pair scores -1.0
         best = np.where(flat.any(axis=1), -1.0, -np.inf)  # each query's first maximum so far, and its key
         first = flat.argmax(axis=1)
         band &= ~flat
-        del s, flat
+        del flat
         # Score the other band pairs exactly, in (query, key) order and m pairs at a time: one reused block
         # of about _REDUCE_BLOCK elements holds a block's query rows and candidate rows, and np.add.reduce
         # over each contiguous row of their products is numpy's pairwise sum, as pcc's mean. np.nonzero
@@ -309,7 +309,7 @@ class _Candidates:
         m = max(1, _REDUCE_BLOCK // (2 * p))
         ends = np.cumsum(band.sum(axis=1))
         cuts = np.searchsorted(ends, np.arange(m, ends[-1] + m, m), side="right")
-        buf, sq = np.empty((2, min(m, ends[-1]), p)), np.sqrt(vq)
+        buf = np.empty((2, min(m, ends[-1]), p))
         for a, b in zip([0, *cuts[:-1]], cuts):
             rows, cols = np.nonzero(band[a:b])
             for lo in range(0, rows.size, m):

@@ -14,7 +14,7 @@ from patchpair import AdvKind, LossBatch, LossWeights, total_loss
 from patchpair.losses import IMAGE_ROLES, LossBreakdown, LossGradients
 from patchpair.matching import _REF_KEYS
 from patchpair.resample import _bicubic_sample
-from patchpair.similarity import SimilarityKind, ZeroVarianceError, pcc, similarity, to_weight
+from patchpair.similarity import SimilarityKind, similarity, to_weight
 
 
 def direct_conv2d_reflect(img, taps):
@@ -59,15 +59,8 @@ def grid_positions(length, size, stride):
 
 
 def _pcc(a, b):
-    """PCC from centred's deviations and mean squares, not the library's centring; a flat side scores -1.
-    Where a mean square is not finite, the library's pcc rescales the images and scores them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        (dx, vx), (dy, vy) = centred(a), centred(b)
-    if not (math.isfinite(vx) and math.isfinite(vy)):
-        try:
-            return pcc(a, b)
-        except ZeroVarianceError:
-            return -1.0
+    """PCC from centred's deviations and mean squares, not the library's centring; a flat side scores -1."""
+    (dx, vx), (dy, vy) = centred(a), centred(b)
     if vx == 0.0 or vy == 0.0:
         return -1.0
     r = float((dx * dy).mean()) / (math.sqrt(vx) * math.sqrt(vy))
@@ -142,8 +135,13 @@ def ref_to_json_dict(ref):
 
 def centred(img: np.ndarray):
     """(d, v): the float64 deviations of img's pixels from their mean, and their mean square.
-    A constant image's deviations are zeros, whether or not its float64 mean rounds to its value."""
+    A constant image's deviations are zeros, whether or not its float64 mean rounds to its value.
+    An image whose largest magnitude m lies outside [2**-300, 2**300) is first scaled by 2**-e, where
+    m = f * 2**e with 0.5 <= f < 1, so that its largest magnitude is f."""
     f = img.astype(np.float64).ravel()
+    m = float(np.abs(f).max())
+    if m != 0.0 and not 2.0**-300 <= m < 2.0**300:
+        f = np.ldexp(f, -math.frexp(m)[1])
     d = np.zeros_like(f) if f.max() == f.min() else f - f.mean()
     return d, float((d * d).mean())
 

@@ -47,7 +47,7 @@ from patchpair.matching import (
     _windows,
     manifest_to_bytes,
 )
-from patchpair.similarity import _V_MAX, _V_MIN, _Candidates, _centred_rows
+from patchpair.similarity import _Candidates, _centred_rows
 from .oracles import argmax, centred, manifest_tuples, ref_to_json_dict, triple_loop_exhaustive
 
 scoring = importlib.import_module("patchpair.similarity")  # the package binds patchpair.similarity to the function
@@ -198,7 +198,7 @@ def query_and_candidates(draw, batch=False):
         images.insert(draw(st.integers(0, len(images))), img)
     query = st.one_of(image, st.sampled_from(images).map(np.copy))
     queries = draw(st.lists(query, min_size=1, max_size=12)) if batch else [draw(query)]
-    # at 1e-160 the products of deviations underflow, which the PCC screen must not trust
+    # 1e-160 lies below 2**-300: PCC scales such images up by a power of two before it centres them
     scale = draw(st.sampled_from([1.0, 1e-3, 1e-160]))
     queries = [q * scale for q in queries]
     return queries if batch else queries[0], [img * scale for img in images]
@@ -223,6 +223,8 @@ class TestPreparedCandidates:
     @example((_TWIN, [np.zeros((2, 4)), _TWIN.copy(), _TWIN.copy()]), SimilarityKind.PCC, 2, None)
     # a constant candidate (-1) must lose to a negative correlation
     @example((np.array([[0.0, 1.0, 0.5]]), [np.full((1, 3), 0.3), np.array([[1.0, 0.0, 0.0]])]), SimilarityKind.PCC, 2, None)
+    # a flat query screens every non-flat candidate at 0: its column must read -1, or key 0's flat candidate is lost
+    @example((np.zeros((1, 2)), [np.zeros((1, 2)), np.array([[0.0, 0.5]])]), SimilarityKind.PCC, 2, None)
     # every RBF score underflows to 0: the first key wins with 0.0
     @example((np.zeros((2, 2)), [np.ones((2, 2)), np.full((2, 2), 0.5), np.eye(2)]), SimilarityKind.RBF, 2, 1e-3)
     @settings(max_examples=400, deadline=None)
@@ -242,21 +244,36 @@ class TestPreparedCandidates:
         expected = [argmax(q, candidates, cfg) for q in queries]
         assert result_bits(_Candidates(candidates, cfg).best_many(queries)) == result_bits(expected)
 
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 12), st.integers(2, 12)), st.integers(1, 8),
+           st.lists(st.integers(-1000, 1000), min_size=2, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_pcc_is_bitwise_scale_invariant(self, seed, shape, n, ks):
+        # each image times its own power of two 2**k: the same keys and score bits as the unscaled images.
+        # Repeated images make exact ties, which go to the first key either way
+        rng = np.random.default_rng(seed)
+        base = [rng.random(shape) for _ in range(4)]
+        images = [base[i] for i in rng.integers(0, 4, len(ks))]
+        n = min(n, len(ks) - 1)
+        cfg = MatchConfig(metric=SimilarityKind.PCC)
+        scaled = [np.ldexp(img, k) for img, k in zip(images, ks)]
+        got = _Candidates(list(enumerate(scaled[:n])), cfg).best_many(scaled[n:])
+        assert result_bits(got) == result_bits(_Candidates(list(enumerate(images[:n])), cfg).best_many(images[n:]))
+
     @pytest.mark.parametrize("metric", list(SimilarityKind))
-    def test_batch_mixing_flat_unscreenable_and_normal_queries(self, rng, metric):
+    def test_batch_mixing_flat_tiny_and_normal_queries(self, rng, metric):
         images = [rng.random((6, 5)) for _ in range(7)]
         images[2][...] = 0.25  # a flat candidate scores -1 under PCC
         images[5] = images[3].copy()  # a tie, settled by the smaller key
         queries = [
             images[3].copy(),
             np.full((6, 5), 0.5),  # flat query: every PCC pair scores -1, so the first key wins
-            rng.random((6, 5)) * 1e-160,  # its deviations underflow in products: PCC scores every candidate
+            rng.random((6, 5)) * 1e-160,  # PCC scales it up by a power of two
             rng.random((6, 5)),
             np.zeros((6, 5)),
             images[0] * 1e-160,
         ]
         cfg = MatchConfig(metric=metric)
-        # with one candidate at 1e-160 the PCC stack cannot be screened: every query scores every candidate
+        # and again with one candidate at 1e-160
         for tiny_candidate in (False, True):
             candidates = list(enumerate(images[:6] + [images[6] * (1e-160 if tiny_candidate else 1.0)]))
             prepared = _Candidates(candidates, cfg)
@@ -265,9 +282,8 @@ class TestPreparedCandidates:
             assert got[0][0] == 3
             if metric is SimilarityKind.PCC:
                 assert got[1] == got[4] == (0, -1.0)
-                assert prepared.screenable is not tiny_candidate
 
-    def test_pcc_batch_over_cap_mixing_flat_and_unscreenable_queries(self, rng):
+    def test_pcc_batch_over_cap_mixing_flat_and_tiny_queries(self, rng):
         images = [rng.random((4, 4)) for _ in range(20)]  # cap min(20, 16): 40 queries take 3 products
         images[4][...] = 0.75
         queries = [rng.random((4, 4)) * rng.choice([1.0, 1e-160]) for _ in range(40)]
@@ -366,24 +382,24 @@ class TestPccBandRescore:
         queries = [base[2], rng.random((4, 4)), np.full((4, 4), 0.5), 0.5 * base[0] + 0.1, base[2] * 1e-160,
                    -base[3], base[2] * 4.0 + 2.0, rng.random((4, 4)) * 1e-160, base[1]]
         cfg = MatchConfig(metric=SimilarityKind.PCC)
-        # with one candidate at 1e-160 the stack is unscreenable: every band holds all ten candidates
+        # and again with one candidate at 1e-160, which PCC scales up by a power of two
         for tiny_candidate in (False, True):
             candidates = list(enumerate(images[:-1] + [images[-1] * (1e-160 if tiny_candidate else 1.0)]))
             got = _Candidates(candidates, cfg).best_many(queries)
             assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
             assert got[2] == (0, -1.0)  # a flat query scores -1 against every candidate: the first key wins
 
-    def test_unscreenable_full_chunk_stays_within_readme_bound(self):
-        # README: besides the stack, a chunk holds its centred queries and screened scores in float64,
-        # a band mask of one byte per pair, and one block of _REDUCE_BLOCK float64 for the exact re-score
+    def test_full_chunk_with_every_pair_in_the_band_stays_within_readme_bound(self):
+        # README: besides the stack, a chunk holds its centred queries and screen scores in float64,
+        # a band mask of one byte per pair, and one block of _REDUCE_BLOCK float64 for the exact re-score.
+        # Positive affine copies of one image score 1 up to rounding: every pair of a chunk lies in the band
         rng = np.random.default_rng(12)
         n, side = 2048, 8
-        images = [rng.random((side, side)) for _ in range(n)]
-        images[7] = images[7] * 1e-160
+        base = rng.random((side, side))
+        images = [base * a + b for a, b in zip(rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n))]
         prepared = _Candidates(list(enumerate(images)), MatchConfig(metric=SimilarityKind.PCC))
-        assert not prepared.screenable
-        chunk = min(n, side * side)  # the cap: every pair of the chunk lies in the band
-        queries = [rng.random((side, side)) for _ in range(chunk)]
+        chunk = min(n, side * side)  # the cap
+        queries = [base * a + b for a, b in zip(rng.uniform(0.5, 2.0, chunk), rng.uniform(-1.0, 1.0, chunk))]
         prepared.best_many(queries[:2])  # numpy's first calls allocate caches of their own
         tracemalloc.start()
         try:
@@ -405,16 +421,26 @@ def _tiny_pixel_row(rng, tiny):
     return np.concatenate((h, [tiny], -h, [0.0])).reshape(4, 4)
 
 
-def _in_range(v):
-    return (v >= _V_MIN) & (v <= _V_MAX)
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
 
 
 class TestScreenPrecondition:
+    # _centred_rows scales a row whose largest magnitude lies outside [2**-300, 2**300) into [0.5, 1), so every
+    # non-flat row has 2**-768 < v < 2**602, the range that the screen's proof in _best_pcc assumes
+
+    @given(image_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_every_non_flat_row_has_a_mean_square_the_screen_bounds(self, images):
+        v = _centred_rows(images)[1]
+        v = v[v != 0.0]
+        assert ((v > 2.0**-768) & (v < 2.0**602)).all(), v
+
     @pytest.mark.parametrize("block", [1, 64, 96, scoring._REDUCE_BLOCK])
     def test_rows_with_tiny_deviations_screen_and_match_oracle(self, monkeypatch, block):
-        # every row here has a nonzero deviation below 2**-400, so a mask on single deviations would refuse it;
-        # its mean square lies in [_V_MIN, _V_MAX], so it screens. Products of deviations underflow, gradually
-        # or to 0 (1e-200 * 1e-200, 5e-310 * 0.3, 2**-421 * 1e-200).
+        # every tiny-pixel row has a nonzero deviation below 2**-400 and a largest magnitude of order 1, so it keeps
+        # its bits. Products of its deviations underflow, gradually or to 0 (1e-200 * 1e-200, 5e-310 * 0.3,
+        # 2**-421 * 1e-200). Rows at 2**-420 and tiny[2] * 2**-400 lie below the window and are scaled into it.
         monkeypatch.setattr(scoring, "_REDUCE_BLOCK", block)
         rng = np.random.default_rng(block)
         tiny = [_tiny_pixel_row(rng, t) for t in (1e-200, 5e-310, 1e-200, 5e-310)]
@@ -422,48 +448,53 @@ class TestScreenPrecondition:
         images = [tiny[0], scaled[0], tiny[1], tiny[0] * 0.5, scaled[1], tiny[2], scaled[0] * 3.0, tiny[3], tiny[0].copy()]
         queries = [tiny[0], scaled[0] * 0.5, -tiny[1], tiny[3], scaled[1], tiny[2] * 2.0**-400,
                    _tiny_pixel_row(rng, 1e-200), np.full((4, 4), 0.1), rng.random((4, 4)) * 2.0**-420]
-        d, v = _centred_rows(images)
-        assert ((d != 0.0) & (np.abs(d) < 2.0**-400)).any(axis=1).all()
-        dq, vq = _centred_rows(queries)
-        assert ((dq != 0.0) & (np.abs(dq) < 2.0**-400)).any(axis=1).sum() == len(queries) - 1  # all but the flat one
-        assert _in_range(v).all() and (_in_range(vq) == (vq != 0.0)).all()
+        for rows, tiny_rows in ((images, [0, 2, 3, 5, 7, 8]), (queries, [0, 2, 3, 5, 6])):
+            d, v = _centred_rows(rows)
+            for k, img in enumerate(rows):
+                dk, vk = centred(img)
+                assert _bits(d[k]) == _bits(dk) and float(v[k]).hex() == vk.hex()
+            assert np.flatnonzero(((d != 0.0) & (np.abs(d) < 2.0**-400)).any(axis=1)).tolist() == tiny_rows
+            assert ((v > 2.0**-768) & (v < 2.0**602) | (v == 0.0)).all()
         cfg = MatchConfig(metric=SimilarityKind.PCC)
         candidates = list(enumerate(images))
-        prepared = _Candidates(candidates, cfg)
-        assert prepared.screenable
-        got = prepared.best_many(queries)
+        got = _Candidates(candidates, cfg).best_many(queries)
         assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
         assert got[0][0] == 0 and got[7] == (0, -1.0)
 
     @pytest.mark.parametrize(
-        "scale, screens",
-        [(2.0**-450, True), (2.0**-451, False), (2.0**350, True), (2.0**351, False)],
-        ids=["2**-450", "2**-451", "2**350", "2**351"],
+        "top, kept",
+        [(2.0**-300, True), (np.nextafter(2.0**-300, 0), False), (2.0**300, False), (np.nextafter(2.0**300, 0), True)],
+        ids=["2**-300", "below 2**-300", "2**300", "below 2**300"],
     )
-    def test_bounds_are_inclusive(self, rng, scale, screens):
-        edge = np.array([[1.0, -1.0], [-1.0, 1.0]]) * scale  # mean 0 and mean square scale**2, exactly
-        assert _centred_rows([edge])[1][0] == scale * scale
-        images = [rng.random((2, 2)) for _ in range(4)]
+    def test_window_edges(self, rng, top, kept):
+        edge = rng.random((3, 3)) - 0.5
+        edge[1, 1] = -1.0
+        edge *= top  # its largest magnitude is top, exactly
+        assert np.abs(edge).max() == top
+        f = edge.ravel() if kept else np.ldexp(edge.ravel(), -np.frexp(top)[1])
+        want = f - f.mean()
+        d, v = _centred_rows([edge])
+        assert _bits(d[0]) == _bits(centred(edge)[0]) == _bits(want)
+        assert float(v[0]).hex() == centred(edge)[1].hex() == float((want * want).mean()).hex()
+        images = [rng.random((3, 3)) for _ in range(4)]
         cfg = MatchConfig(metric=SimilarityKind.PCC)
         candidates = list(enumerate(images[:2] + [edge] + images[2:]))
-        prepared = _Candidates(candidates, cfg)
-        assert prepared.screenable is screens
-        queries = [edge, -edge, images[0], images[3] * scale]
-        got = prepared.best_many(queries)
+        queries = [edge, -edge, images[0], images[3] * top]
+        got = _Candidates(candidates, cfg).best_many(queries)
         assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
         assert got[0][0] == 2
 
-    @pytest.mark.parametrize("scale", [2.0**-455, 2.0**356], ids=["2**-455", "2**356"])
-    def test_row_outside_the_bounds_leaves_the_stack_unscreenable(self, rng, scale):
+    @pytest.mark.parametrize(
+        "scale", [2.0**-455, 2.0**356, 2.0**-1000, 2.0**1000], ids=["2**-455", "2**356", "2**-1000", "2**1000"]
+    )
+    def test_rows_far_outside_the_window_keep_their_unscaled_scores(self, rng, scale):
         images = [rng.random((4, 4)) for _ in range(6)]
-        images[4] = images[4] * scale  # a mean square below 2**-900 or above 2**700
-        assert not _in_range(_centred_rows([images[4]])[1]).any()
+        images[4][0, 0] = 0.75  # the largest magnitude lies in [0.5, 1): scaling it back is exact
+        assert _bits(_centred_rows([images[4] * scale])[0]) == _bits(_centred_rows([images[4]])[0])
         cfg = MatchConfig(metric=SimilarityKind.PCC)
-        candidates = list(enumerate(images))
-        prepared = _Candidates(candidates, cfg)
-        assert not prepared.screenable
+        candidates = list(enumerate(images[:4] + [images[4] * scale] + images[5:]))
         queries = [images[1], images[4], images[2] * scale, rng.random((4, 4))]
-        got = prepared.best_many(queries)
+        got = _Candidates(candidates, cfg).best_many(queries)
         assert result_bits(got) == result_bits([argmax(q, candidates, cfg) for q in queries])
         assert [key for key, _ in got[:3]] == [1, 4, 2]
 

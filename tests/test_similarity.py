@@ -235,6 +235,14 @@ class TestPcc:
         assert pcc(np.array([["1", "2", "4"]]), [[3.0, 1.0, 2.0]]) == expected
         assert pcc([[2**70, 2**71, 2**72]], [[3, 1, 2]]) == expected
 
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(1, 16), st.integers(2, 16)), st.integers(-1000, 1000))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_scale_invariance(self, seed, shape, k):
+        # PCC is scale-free, and a power of two scales every step exactly: the score keeps its bits
+        rng = np.random.default_rng(seed)
+        x, y = rng.random(shape), rng.random(shape)
+        assert pcc(np.ldexp(x, k), y).hex() == pcc(x, y).hex()
+
     @given(varied_patches, st.floats(0.1, 50), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_affine_invariance(self, x, a, b):
